@@ -1,7 +1,8 @@
-"""Small shared helpers: fixed-width integer arithmetic, formatting and
-environment parsing."""
+"""Small shared helpers: fixed-width integer arithmetic, formatting,
+environment parsing and atomic file writes."""
 
 import os
+import tempfile
 
 from .errors import ConfigurationError
 
@@ -24,6 +25,28 @@ def to_signed32(value):
     """Interpret the low 32 bits of ``value`` as a signed integer."""
     value &= MASK32
     return value - (1 << 32) if value & HIGH_BIT32 else value
+
+
+def atomic_write(path, write, mode="w"):
+    """Replace ``path`` atomically with what ``write(stream)`` writes.
+
+    The content goes to a fresh temp file in the same directory, which
+    then replaces ``path`` in one ``os.replace``: concurrent writers
+    never share a temp file, readers never see a torn entry, and a
+    failed write removes its temp file before re-raising.
+    """
+    handle, temporary = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                         suffix=".tmp")
+    try:
+        with os.fdopen(handle, mode) as stream:
+            write(stream)
+        os.replace(temporary, path)
+    except BaseException:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
+        raise
 
 
 def env_int(name, fallback, minimum=1):

@@ -171,6 +171,11 @@ class SimBackend(Backend):
     ``batch`` is distribution-equivalent under a documented seeded
     stream-break (see :mod:`repro.sim.batch`).  The cache signature
     keeps all three apart (see :meth:`cache_signature`).
+
+    Subclasses running other spec kinds (the app backend) override
+    :meth:`_lowering` — the intensity and placement-shuffle flag a
+    cell lowers with — and :meth:`run_shard`; the memo, plan cache and
+    engine dispatch are shared.
     """
 
     name = "sim"
@@ -221,17 +226,7 @@ class SimBackend(Backend):
         bit-identity/distribution-equivalence contracts in the first
         place, and the batch engine's histograms are only
         distribution-equivalent, not bit-identical.
-
-        The batch engine's tail fraction joins for the same reason:
-        the straggler hand-off changes the RNG stream, so histograms
-        produced under different tails are distinct statistical draws
-        and must not share cache entries.  The other engines have no
-        tail, so the knob is omitted (their entries stay stable however
-        ``REPRO_BATCH_TAIL`` is set).
         """
-        if spec.engine == "batch":
-            return "%s-%s-tail%g" % (spec.fingerprint(), spec.engine,
-                                     spec.batch_tail)
         return "%s-%s" % (spec.fingerprint(), spec.engine)
 
     def cache_variant(self, spec, shard_size):
@@ -242,61 +237,61 @@ class SimBackend(Backend):
         share an entry."""
         return "shard%d" % min(shard_size, spec.iterations)
 
-    def _machine(self, spec):
+    def _lowering(self, spec):
+        """``(intensity, shuffle_placement)``: what ``spec`` lowers
+        with besides its test and chip — the incantation column's
+        efficacy and its thread-randomisation flag."""
         intensity = efficacy(spec.chip.vendor, spec.test.idiom or "mp",
                              spec.incantations)
-        if spec.engine in ("fast", "batch"):
-            cells = getattr(self._local, "cells", None)
-            if cells is None:
-                cells = self._local.cells = {}
-            # Key on what the compiled cell actually depends on — the
-            # engine, test text, chip profile, incantation column — not
-            # the full fingerprint, so iteration/seed variants of one
-            # cell share a single compilation (and the two compiling
-            # engines never share one).  The batch tail joins for batch
-            # cells: it is baked into the lowered cell.
-            key = (spec.engine, spec.test.name, write_litmus(spec.test),
-                   repr(spec.chip), spec.incantations.column)
-            if spec.engine == "batch":
-                key += (spec.batch_tail,)
-            machine = cells.get(key)
-            if machine is None:
-                if len(cells) >= self.MAX_COMPILED:
-                    cells.clear()
-                if spec.engine == "batch":
-                    machine = self._lower_batch(spec, intensity)
-                else:
-                    machine = compile_cell(
-                        spec.test, spec.chip, intensity=intensity,
-                        shuffle_placement=spec.incantations.thread_rand)
-                cells[key] = machine
-            return machine
-        return GpuMachine(spec.test, spec.chip, intensity=intensity,
-                          shuffle_placement=spec.incantations.thread_rand)
+        return intensity, spec.incantations.thread_rand
 
-    def _lower_batch(self, spec, intensity):
+    def _machine(self, spec):
+        intensity, shuffle = self._lowering(spec)
+        if spec.engine == "reference":
+            return GpuMachine(spec.test, spec.chip, intensity=intensity,
+                              shuffle_placement=shuffle)
+        cells = getattr(self._local, "cells", None)
+        if cells is None:
+            cells = self._local.cells = {}
+        # Key on exactly what the lowering receives, so iteration/seed
+        # variants of one cell share a single compilation (and the two
+        # compiling engines never share one).
+        content = (write_litmus(spec.test), repr(spec.chip), intensity,
+                   shuffle)
+        key = (spec.engine,) + content
+        machine = cells.get(key)
+        if machine is None:
+            if len(cells) >= self.MAX_COMPILED:
+                cells.clear()
+            if spec.engine == "batch":
+                machine = self._lower_batch(spec, content)
+            else:
+                machine = compile_cell(spec.test, spec.chip,
+                                       intensity=intensity,
+                                       shuffle_placement=shuffle)
+            cells[key] = machine
+        return machine
+
+    def _lower_batch(self, spec, content):
         """Lower a batch cell, sharing analysis plans across workers.
 
         With a plan cache attached, the picklable analysis product of
-        the lowering is looked up by content signature before paying
-        the analysis pass, and published after a miss — so a process
-        pool analyses each cell once per campaign, not once per worker.
-        The tail fraction is deliberately not part of the signature
-        (plans are tail-independent runtime parameters).
+        the lowering is looked up by ``content`` (the lowering inputs)
+        before paying the analysis pass, and published after a miss —
+        so a process pool analyses each cell once per campaign, not
+        once per worker.
         """
+        _text, _chip, intensity, shuffle = content
         plan = store = signature = None
         if self.plan_dir:
             from ..sim.batch import PLAN_VERSION
             from ..sim.plancache import plan_signature, plan_store
             store = plan_store(self.plan_dir)
-            signature = plan_signature(
-                "sim-batch", PLAN_VERSION, write_litmus(spec.test),
-                repr(spec.chip), spec.incantations.column)
+            signature = plan_signature("batch", PLAN_VERSION, *content)
             plan = store.get(signature)
-        machine = compile_batch_cell(
-            spec.test, spec.chip, intensity=intensity,
-            shuffle_placement=spec.incantations.thread_rand,
-            tail_fraction=spec.batch_tail, plan=plan)
+        machine = compile_batch_cell(spec.test, spec.chip,
+                                     intensity=intensity,
+                                     shuffle_placement=shuffle, plan=plan)
         if store is not None and plan is None:
             store.put(signature, machine.plan())
         return machine

@@ -16,6 +16,8 @@ to audit the cache directory by hand.
 import json
 import os
 
+from .._util import atomic_write
+from ..errors import ReproError
 from ..harness.histogram import Histogram
 from ..litmus.condition import FinalState
 from .result import SpecResult
@@ -76,7 +78,12 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
+            try:
+                os.makedirs(cache_dir, exist_ok=True)
+            except OSError as error:
+                raise ReproError("cannot use %r as the cache directory: %s"
+                                 % (cache_dir, error.strerror or error)
+                                 ) from None
 
     def __len__(self):
         return len(self._memory)
@@ -143,8 +150,5 @@ class ResultCache:
             "fingerprint": result.spec.fingerprint(),
             "histogram": encode_histogram(result.histogram),
         }
-        path = self._path(key)
-        temporary = path + ".tmp"
-        with open(temporary, "w") as handle:
-            json.dump(payload, handle, indent=1)
-        os.replace(temporary, path)
+        atomic_write(self._path(key),
+                     lambda stream: json.dump(payload, stream, indent=1))

@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 
 from ..errors import ReproError
 from ..harness.incantations import Incantations, best_for
+from ..litmus import library
 from ..litmus.writer import write_litmus
 from ..model.models import resolve_model_engine
 from ..sim.chip import CHIPS, ChipProfile
-from ..sim.engine import (DEFAULT_BATCH_TAIL, resolve_batch_tail,
-                          resolve_engine)
+from ..sim.engine import resolve_engine
 
 #: Sentinel accepted wherever an incantation combination is expected:
 #: resolve to the most effective combination for the chip's vendor and
@@ -36,6 +36,14 @@ def resolve_chip(chip):
     except KeyError:
         raise ReproError("unknown chip %r; known: %s"
                          % (chip, ", ".join(sorted(CHIPS)))) from None
+
+
+def resolve_test(name):
+    """Resolve a library test name (see :mod:`repro.litmus.library`)."""
+    if name not in library.PAPER_TESTS:
+        raise ReproError("unknown litmus test %r; known: %s"
+                         % (name, ", ".join(sorted(library.PAPER_TESTS))))
+    return library.build(name)
 
 
 _INCANTATION_FLAGS = {
@@ -141,30 +149,19 @@ class RunSpec:
     #: ``"reference"`` (materialise-then-check).  Excluded from the
     #: fingerprint, included in the model backend's cache signature.
     model_engine: str = "fast"
-    #: Straggler-tail threshold of the batch engine (see
-    #: :func:`repro.sim.engine.resolve_batch_tail`): live fraction at
-    #: which a lockstep chunk suspends its survivors for coalesced
-    #: draining.  Same discipline as ``engine``: excluded from the
-    #: fingerprint (shard seeds stay knob-neutral), included in the sim
-    #: backend's cache signature when the engine is ``batch`` (the tail
-    #: hand-off changes the RNG stream, so histograms from different
-    #: tails must not share cache entries).  Ignored by the other
-    #: engines.
-    batch_tail: float = DEFAULT_BATCH_TAIL
 
     @staticmethod
     def make(test, chip, incantations=BEST, iterations=None, seed=0,
-             engine=None, model_engine=None, batch_tail=None):
-        """Build a normalised spec.
+             engine=None, model_engine=None):
+        """Build a normalised spec; ``test`` may be a library test name
+        and ``chip`` a Table 1 short name.
 
         ``engine=None`` resolves through
         :func:`repro.sim.engine.resolve_engine` (the ``REPRO_ENGINE``
         environment variable, default ``"fast"``); ``model_engine=None``
         likewise through
         :func:`repro.model.models.resolve_model_engine`
-        (``REPRO_MODEL_ENGINE``, default ``"fast"``); ``batch_tail=None``
-        through :func:`repro.sim.engine.resolve_batch_tail`
-        (``REPRO_BATCH_TAIL``, default 0.05).
+        (``REPRO_MODEL_ENGINE``, default ``"fast"``).
 
         >>> from repro.litmus import library
         >>> spec = RunSpec.make(library.build("mp"), "Titan",
@@ -178,6 +175,8 @@ class RunSpec:
         """
         from ..harness.runner import default_iterations
 
+        if isinstance(test, str):
+            test = resolve_test(test)
         chip = resolve_chip(chip)
         incantations = resolve_incantations(incantations, chip, test)
         if iterations is None:
@@ -187,8 +186,7 @@ class RunSpec:
         return RunSpec(test=test, chip=chip, incantations=incantations,
                        iterations=int(iterations), seed=int(seed),
                        engine=resolve_engine(engine),
-                       model_engine=resolve_model_engine(model_engine),
-                       batch_tail=resolve_batch_tail(batch_tail))
+                       model_engine=resolve_model_engine(model_engine))
 
     @property
     def key(self):
@@ -204,9 +202,6 @@ class RunSpec:
     def with_model_engine(self, model_engine):
         return replace(self,
                        model_engine=resolve_model_engine(model_engine))
-
-    def with_batch_tail(self, batch_tail):
-        return replace(self, batch_tail=resolve_batch_tail(batch_tail))
 
     def fingerprint(self):
         """Stable content hash of this spec (hex digest).
@@ -243,7 +238,7 @@ class RunSpec:
 
 
 def matrix(tests, chips, incantations=BEST, iterations=None, seed=0,
-           engine=None, model_engine=None, batch_tail=None):
+           engine=None, model_engine=None):
     """Cartesian-product campaign plan: one :class:`RunSpec` per
     (test, chip) cell — the planner behind ``Session.campaign`` and the
     successor of the old ``run_matrix`` loop."""
@@ -253,6 +248,5 @@ def matrix(tests, chips, incantations=BEST, iterations=None, seed=0,
             specs.append(RunSpec.make(test, chip, incantations=incantations,
                                       iterations=iterations, seed=seed,
                                       engine=engine,
-                                      model_engine=model_engine,
-                                      batch_tail=batch_tail))
+                                      model_engine=model_engine))
     return specs

@@ -1,11 +1,12 @@
 """The application backend: scenario campaigns on the campaign stack.
 
-:class:`AppBackend` implements the :class:`repro.api.backends.Backend`
-protocol for :class:`~repro.apps.scenario.ScenarioSpec` cells, which is
-what buys application campaigns everything PRs 1-4 built for litmus
-campaigns — deterministic sharded parallel execution, two-tier result
-caching, in-plan deduplication and session accounting — without the
-session layer knowing scenarios exist:
+:class:`AppBackend` runs :class:`~repro.apps.scenario.ScenarioSpec`
+cells as a :class:`repro.api.backends.SimBackend` subclass, which is
+what buys application campaigns everything litmus campaigns have —
+deterministic sharded parallel execution, two-tier result caching,
+in-plan deduplication, the shared compiled-cell memo and batch plan
+cache, and session accounting — without the session layer knowing
+scenarios exist:
 
 * **sharding** — a spec's launches split into fixed-size shards through
   the shared planner (:func:`repro.api.backends.plan_shards`); shard 0
@@ -30,15 +31,15 @@ session layer knowing scenarios exist:
 """
 
 import random
-import threading
 
-from ..api.backends import Backend, plan_shards
+from ..api.backends import SimBackend
 from ..harness.histogram import Histogram
-from ..litmus.writer import write_litmus
-from ..sim.batch import compile_batch_cell
-from ..sim.compile import compile_cell
 from ..sim.engine import run_batch
-from ..sim.machine import GpuMachine
+# Lowering is inherited from SimBackend and looks these names up in
+# repro.api.backends; they stay importable from this module because the
+# traced benchmark (perfbench/spans.py) wraps all three here too.
+from ..sim.batch import compile_batch_cell  # noqa: F401
+from ..sim.compile import compile_cell  # noqa: F401
 
 #: Default launches per shard.  Application launches are an order of
 #: magnitude slower than litmus iterations (spin loops, multi-statement
@@ -53,118 +54,26 @@ from ..sim.machine import GpuMachine
 DEFAULT_APP_SHARD_SIZE = 10000
 
 
-class AppBackend(Backend):
-    """Scenario execution on the simulated chips (Secs. 3.2, 6-7)."""
+class AppBackend(SimBackend):
+    """Scenario execution on the simulated chips (Secs. 3.2, 6-7).
+
+    A :class:`~repro.api.backends.SimBackend` whose cells lower with
+    the spec's stress ``intensity`` and fixed placement, and whose
+    shards project onto the scenario's observable locations.
+    """
 
     name = "app"
-    supports_sharding = True
 
     #: Compiled-cell memo cap per worker thread.
     MAX_COMPILED = 128
 
     def __init__(self, shard_size=DEFAULT_APP_SHARD_SIZE):
-        self.shard_size = shard_size
-        # Per-*thread* memo: a CompiledCell mutates its own machine state
-        # during run_once, so two pool threads must never share one.
-        self._local = threading.local()
-        # Plan-cache directory — a plain string so it pickles into
-        # process-pool workers, which then share lowered batch plans
-        # instead of re-analysing per process (see
-        # :mod:`repro.sim.plancache`).
-        self.plan_dir = None
+        super().__init__(shard_size)
 
-    def set_plan_cache(self, directory):
-        """Share lowered batch plans through ``directory`` (None
-        disables)."""
-        self.plan_dir = directory
-
-    def __getstate__(self):
-        # Compiled cells hold closures; drop the memo when a process
-        # pool pickles the backend into its workers.
-        state = self.__dict__.copy()
-        del state["_local"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._local = threading.local()
-
-    def cache_signature(self, spec):
-        """Fingerprint plus engine — same rationale as the sim backend:
-        the fingerprint stays engine-neutral, but a histogram cached by
-        one engine must never mask a divergence in another (and batch
-        histograms are only distribution-equivalent).  The batch tail
-        joins for batch cells: different tails are different RNG
-        streams and must not share entries."""
-        if spec.engine == "batch":
-            return "%s-%s-tail%g" % (spec.fingerprint(), spec.engine,
-                                     spec.batch_tail)
-        return "%s-%s" % (spec.fingerprint(), spec.engine)
-
-    def cache_variant(self, spec, shard_size):
-        """Per-shard seeding makes the histogram a function of the
-        effective decomposition, exactly as for the sim backend."""
-        return "shard%d" % min(shard_size, spec.iterations)
-
-    def _machine(self, spec):
-        if spec.engine in ("fast", "batch"):
-            cells = getattr(self._local, "cells", None)
-            if cells is None:
-                cells = self._local.cells = {}
-            # Key on what the compiled cell depends on — the engine, the
-            # scenario's compiled litmus text, the chip profile and the
-            # intensity — so run/seed variants of one cell share a
-            # compilation.
-            key = (spec.engine, spec.scenario.name, write_litmus(spec.test),
-                   repr(spec.chip), spec.intensity)
-            if spec.engine == "batch":
-                key += (spec.batch_tail,)
-            machine = cells.get(key)
-            if machine is None:
-                if len(cells) >= self.MAX_COMPILED:
-                    cells.clear()
-                if spec.engine == "batch":
-                    machine = self._lower_batch(spec)
-                else:
-                    machine = compile_cell(spec.test, spec.chip,
-                                           intensity=spec.intensity)
-                cells[key] = machine
-            return machine
-        return GpuMachine(spec.test, spec.chip, intensity=spec.intensity)
-
-    def _lower_batch(self, spec):
-        """Lower a batch cell through the cross-worker plan cache —
-        same discipline as ``SimBackend._lower_batch``: plans are
-        content-keyed, tail-independent, and any miss publishes the
-        fresh analysis for the other workers."""
-        plan = store = signature = None
-        if self.plan_dir:
-            from ..sim.batch import PLAN_VERSION
-            from ..sim.plancache import plan_signature, plan_store
-            store = plan_store(self.plan_dir)
-            signature = plan_signature(
-                "app-batch", PLAN_VERSION, write_litmus(spec.test),
-                repr(spec.chip), spec.intensity)
-            plan = store.get(signature)
-        machine = compile_batch_cell(spec.test, spec.chip,
-                                     intensity=spec.intensity,
-                                     tail_fraction=spec.batch_tail,
-                                     plan=plan)
-        if store is not None and plan is None:
-            store.put(signature, machine.plan())
-        return machine
-
-    def consume_stats(self):
-        if not self.plan_dir:
-            return None
-        from ..sim.plancache import plan_store
-        return plan_store(self.plan_dir).consume_stats()
+    def _lowering(self, spec):
+        return spec.intensity, False
 
     def run_shard(self, spec, shard):
         histogram = run_batch(self._machine(spec), shard.iterations,
                               random.Random(shard.seed), Histogram())
         return spec.scenario.project_histogram(histogram)
-
-    def run(self, spec):
-        return Histogram.merge(self.run_shard(spec, shard)
-                               for shard in plan_shards(spec, self.shard_size))

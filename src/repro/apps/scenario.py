@@ -40,8 +40,7 @@ from ..errors import ConfigurationError, ReproError
 from ..litmus.condition import And, Condition, FinalState, MemEq, Not, Or
 from ..litmus.writer import write_litmus
 from ..sim.chip import ChipProfile
-from ..sim.engine import (DEFAULT_BATCH_TAIL, resolve_batch_tail,
-                          resolve_engine)
+from ..sim.engine import resolve_engine
 from .runtime import _as_chip, build_launch_test
 from .deque import (HEAD, TAIL, TAIL2, TASK, TASK2, owner_roundtrip_kernel,
                     pop_then_push_kernel, push_kernel, steal_kernel,
@@ -182,15 +181,10 @@ class ScenarioSpec:
     #: excluded from the fingerprint (shard seeds stay engine-neutral),
     #: included in the app backend's cache signature.
     engine: str = "fast"
-    #: Straggler-tail threshold of the batch engine — same contract as
-    #: :attr:`repro.api.spec.RunSpec.batch_tail`: excluded from the
-    #: fingerprint, included in the app backend's cache signature when
-    #: the engine is ``batch``, ignored otherwise.
-    batch_tail: float = DEFAULT_BATCH_TAIL
 
     @staticmethod
     def make(scenario, chip, runs=None, seed=0, intensity=STRESS,
-             engine=None, batch_tail=None):
+             engine=None):
         """Build a normalised spec; ``scenario`` may be a registry name
         and ``chip`` a Table 1 short name."""
         if isinstance(scenario, str):
@@ -203,8 +197,7 @@ class ScenarioSpec:
         return ScenarioSpec(scenario=scenario, chip=chip,
                             iterations=int(runs), seed=int(seed),
                             intensity=float(intensity),
-                            engine=resolve_engine(engine),
-                            batch_tail=resolve_batch_tail(batch_tail))
+                            engine=resolve_engine(engine))
 
     @property
     def test(self):
@@ -228,9 +221,6 @@ class ScenarioSpec:
 
     def with_engine(self, engine):
         return replace(self, engine=resolve_engine(engine))
-
-    def with_batch_tail(self, batch_tail):
-        return replace(self, batch_tail=resolve_batch_tail(batch_tail))
 
     def with_runs(self, runs):
         return replace(self, iterations=int(runs))

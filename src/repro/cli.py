@@ -120,8 +120,7 @@ def _session(args):
         return Session(backend=args.backend, jobs=args.jobs,
                        executor=args.executor, cache_dir=args.cache_dir,
                        engine=args.engine,
-                       model_engine=getattr(args, "model_engine", None),
-                       batch_tail=getattr(args, "batch_tail", None))
+                       model_engine=getattr(args, "model_engine", None))
     except ReproError as error:
         raise SystemExit(str(error))
 
@@ -140,18 +139,6 @@ def _engine_argument(parser):
                              "sets the default")
 
 
-def _batch_tail_argument(parser):
-    parser.add_argument("--batch-tail", default=None,
-                        help="batch-engine straggler hand-off threshold: "
-                             "the live-row fraction below which a "
-                             "chunk's survivors leave numpy lockstep "
-                             "and drain on the compiled fast engine "
-                             "(float in [0, 0.5]; 0 disables the "
-                             "hand-off and reproduces the pre-tail "
-                             "bit-exact batch stream; REPRO_BATCH_TAIL "
-                             "sets the default)")
-
-
 def _model_engine_argument(parser):
     parser.add_argument("--model-engine", default=None,
                         choices=MODEL_ENGINES,
@@ -163,7 +150,9 @@ def _model_engine_argument(parser):
                              "REPRO_MODEL_ENGINE sets the default")
 
 
-def _session_arguments(parser):
+def _pool_arguments(parser):
+    """``--jobs``, ``--executor`` and ``--cache-dir``: the worker pool
+    and result cache every campaign-running subcommand takes."""
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker count for sharded execution")
     parser.add_argument("--executor", default="process",
@@ -171,14 +160,19 @@ def _session_arguments(parser):
                         help="worker pool kind for --jobs > 1 (default: "
                              "process — the simulator is CPU-bound pure "
                              "Python, so threads cannot speed it up)")
+    parser.add_argument("--cache-dir", default=None,
+                        help="directory for the on-disk result cache, "
+                             "shared by every backend a run uses; a "
+                             "second identical run is served from it")
+
+
+def _session_arguments(parser):
+    _pool_arguments(parser)
     parser.add_argument("--backend", default="sim",
                         help="execution backend: sim (default), model, "
                              "model:NAME, analysis (static verdicts), or "
                              "exhaustive (DPOR stateless model checking)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="directory for the on-disk result cache")
     _engine_argument(parser)
-    _batch_tail_argument(parser)
     _model_engine_argument(parser)
 
 
@@ -350,8 +344,7 @@ def _cmd_app(args):
         if args.prescreen:
             specs = app_matrix(scenarios, args.chips, runs=runs,
                                seed=args.seed, intensity=args.intensity,
-                               engine=args.engine,
-                               batch_tail=args.batch_tail)
+                               engine=args.engine)
             campaign = _run_prescreened_campaign(
                 specs, session, proof="(losses) by proof")
         else:
@@ -359,7 +352,6 @@ def _cmd_app(args):
                                         seed=args.seed,
                                         intensity=args.intensity,
                                         engine=args.engine,
-                                        batch_tail=args.batch_tail,
                                         session=session)
     except ReproError as error:
         raise SystemExit(str(error))
@@ -573,13 +565,6 @@ def build_parser():
                      help="relaxation-intent multiplier standing in for "
                           "the paper's stressful workloads (default %g; "
                           "1.0 = bare chip rates)" % STRESS)
-    app.add_argument("--jobs", type=int, default=1,
-                     help="worker count for sharded execution")
-    app.add_argument("--executor", default="process",
-                     choices=("process", "thread"),
-                     help="worker pool kind for --jobs > 1")
-    app.add_argument("--cache-dir", default=None,
-                     help="directory for the on-disk result cache")
     app.add_argument("--prescreen", action="store_true",
                      help="statically analyse each scenario first; "
                           "provably-clean cells skip simulation and "
@@ -591,14 +576,20 @@ def build_parser():
                           "with DPOR pruning and report verified/lost "
                           "verdicts (ignores --runs/--seed/--engine; see "
                           "`repro-litmus verify` for the full knob set)")
+    _pool_arguments(app)
     _engine_argument(app)
-    _batch_tail_argument(app)
     app.set_defaults(func=_cmd_app)
 
     verify = sub.add_parser(
         "verify",
         help="exhaustively verify scenarios: enumerate every execution "
-             "(DPOR-pruned) and prove fenced variants lose zero times")
+             "(DPOR-pruned) and prove fenced variants lose zero times",
+        description="Exhaustively verify scenarios: enumerate every "
+                    "execution (DPOR-pruned) and prove fenced variants "
+                    "lose zero times.  With --jobs > 1 each cell's "
+                    "exploration shards by root branch across the pool "
+                    "(and cells fan out like any other campaign); "
+                    "verdicts are bit-identical to --jobs 1.")
     verify.add_argument("--scenario", "-s", dest="scenarios", nargs="+",
                         default=["all"], metavar="NAME",
                         help="scenario names or families; 'all' (default) "
@@ -624,16 +615,7 @@ def build_parser():
                              "transitions (default 2000000)")
     verify.add_argument("--no-witness", action="store_true",
                         help="skip re-deriving losing execution traces")
-    verify.add_argument("--jobs", type=int, default=1,
-                        help="worker count: each cell's exploration shards "
-                             "by root branch across the pool (and cells fan "
-                             "out like any other campaign); verdicts are "
-                             "bit-identical to --jobs 1")
-    verify.add_argument("--executor", default="process",
-                        choices=("process", "thread"),
-                        help="worker pool kind for --jobs > 1")
-    verify.add_argument("--cache-dir", default=None,
-                        help="directory for the on-disk verdict cache")
+    _pool_arguments(verify)
     verify.set_defaults(func=_cmd_verify)
 
     analyze = sub.add_parser(
@@ -672,14 +654,7 @@ def build_parser():
     analyze.add_argument("--fuel", type=int, default=128,
                          help="model enumeration fuel for the library "
                               "cross-check (default 128)")
-    analyze.add_argument("--jobs", type=int, default=1,
-                         help="worker count for the cross-check campaign")
-    analyze.add_argument("--executor", default="process",
-                         choices=("process", "thread"),
-                         help="worker pool kind for --jobs > 1")
-    analyze.add_argument("--cache-dir", default=None,
-                         help="on-disk result cache for the cross-check "
-                              "campaign")
+    _pool_arguments(analyze)
     analyze.set_defaults(func=_cmd_analyze)
 
     model = sub.add_parser("model", help="model-check a test")
@@ -735,16 +710,7 @@ def build_parser():
                                 "shown (default 40)")
     # The session knobs of _session_arguments minus --backend: the
     # soundness pipeline is inherently dual-backend (sim + model).
-    soundness.add_argument("--jobs", type=int, default=1,
-                           help="worker count shared by the sim shards and "
-                                "the model enumerations")
-    soundness.add_argument("--executor", default="process",
-                           choices=("process", "thread"),
-                           help="worker pool kind for --jobs > 1")
-    soundness.add_argument("--cache-dir", default=None,
-                           help="on-disk result cache shared by both "
-                                "backends; a second identical run is "
-                                "served from it")
+    _pool_arguments(soundness)
     _engine_argument(soundness)
     _model_engine_argument(soundness)
     soundness.set_defaults(func=_cmd_soundness)

@@ -21,8 +21,9 @@ accelerator: deleting the directory at any time only costs re-lowering.
 import hashlib
 import os
 import pickle
-import tempfile
 import threading
+
+from .._util import atomic_write
 
 #: Per-process singletons, one per cache directory, so hit/miss counts
 #: aggregate across every backend instance (and pool thread) of a
@@ -88,19 +89,10 @@ class PlanStore:
         identical content, so the race is harmless."""
         try:
             os.makedirs(self.directory, exist_ok=True)
-            handle, temp = tempfile.mkstemp(dir=self.directory,
-                                            suffix=".tmp")
-            try:
-                with os.fdopen(handle, "wb") as stream:
-                    pickle.dump(plan, stream,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(temp, self._path(signature))
-            except BaseException:
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self._path(signature),
+                         lambda stream: pickle.dump(
+                             plan, stream, protocol=pickle.HIGHEST_PROTOCOL),
+                         mode="wb")
         except OSError:
             # A read-only or full cache directory must never fail the
             # run itself; the plan simply is not shared.

@@ -190,3 +190,18 @@ class TestCli:
         from repro.errors import ReproError
         with pytest.raises(ReproError, match="exhaustive"):
             make_backend("banana")
+
+    @pytest.mark.parametrize("command", (["run", "mp"], ["campaign", "mp"],
+                                         ["app"], ["verify"], ["analyze"],
+                                         ["soundness"]))
+    def test_pool_flags_on_every_campaign_subcommand(self, command):
+        from repro.cli import build_parser
+        parser = build_parser()
+        defaults = parser.parse_args(command)
+        assert ((defaults.jobs, defaults.executor, defaults.cache_dir)
+                == (1, "process", None))
+        args = parser.parse_args(command + ["--jobs", "3", "--executor",
+                                            "thread", "--cache-dir", "D"])
+        assert (args.jobs, args.executor, args.cache_dir) == (3, "thread", "D")
+        with pytest.raises(SystemExit):
+            parser.parse_args(command + ["--executor", "fiber"])

@@ -20,6 +20,7 @@ import pytest
 
 import repro.sim.batch as batch_module
 from repro.api import RunSpec, Session, SimBackend, plan_shards
+from repro.apps import AppBackend, ScenarioSpec
 from repro.errors import ConfigurationError, ReproError
 from repro.harness.histogram import Histogram
 from repro.harness.incantations import best_for, efficacy
@@ -205,11 +206,14 @@ class TestEnginePlumbing:
                 == [shard.seed for shard in plan_shards(batch, 30)])
 
     def test_cache_signature_separates_all_engines(self):
-        backend = SimBackend()
-        spec = RunSpec.make(library.build("mp"), "Titan", iterations=100)
-        signatures = {backend.cache_signature(spec.with_engine(engine))
-                      for engine in ENGINES}
-        assert len(signatures) == len(ENGINES)
+        for backend, spec in (
+                (SimBackend(), RunSpec.make(library.build("mp"), "Titan",
+                                            iterations=100)),
+                (AppBackend(), ScenarioSpec.make("ticket", "TesC",
+                                                 runs=100))):
+            signatures = {backend.cache_signature(spec.with_engine(engine))
+                          for engine in ENGINES}
+            assert len(signatures) == len(ENGINES)
 
     def test_backend_memo_keeps_engines_apart(self):
         """One backend serving fast and batch specs of the same cell
