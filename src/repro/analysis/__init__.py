@@ -15,7 +15,8 @@ Front doors:
 * :func:`analyze_test` — analyse one litmus test, full report.
 * :class:`AnalysisBackend` / :func:`analysis_session` — the
   :class:`~repro.api.session.Session`-compatible triage backend
-  (``make_backend("analysis")`` resolves here).
+  (``make_backend("analysis")`` resolves here), whose results are
+  :class:`AnalysisVerdict` objects.
 * :func:`prescreen` / :func:`run_prescreened` — the ``--prescreen``
   flow: skip simulation for provably-clean cells.
 * :func:`run_consistency` — the CI cross-check.
@@ -24,9 +25,8 @@ Front doors:
 from .accesses import (Access, ControlDep, FenceEvent, GuardPoint,
                        ThreadSummary, ValueCond, summarize_test,
                        summarize_thread)
-from .backend import (ANALYSIS_LOCATION, AnalysisBackend, analysis_session,
-                      condition_skippable, prescreen, run_prescreened,
-                      verdict_from_histogram, verdict_state)
+from .backend import (AnalysisBackend, AnalysisVerdict, analysis_session,
+                      condition_skippable, prescreen, run_prescreened)
 from .consistency import (ConsistencyProblem, ConsistencyReport,
                           check_exhaustive, check_library,
                           check_scenarios, run_consistency)
@@ -34,10 +34,10 @@ from .races import (CLEAN, ORDERED, RACY, SYNC, UNKNOWN, AnalysisReport,
                     Diagnostic, PairFinding, analyze_test)
 
 __all__ = [
-    "ANALYSIS_LOCATION",
     "Access",
     "AnalysisBackend",
     "AnalysisReport",
+    "AnalysisVerdict",
     "CLEAN",
     "ConsistencyProblem",
     "ConsistencyReport",
@@ -63,6 +63,4 @@ __all__ = [
     "run_prescreened",
     "summarize_test",
     "summarize_thread",
-    "verdict_from_histogram",
-    "verdict_state",
 ]

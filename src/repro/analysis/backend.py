@@ -7,12 +7,13 @@ as simulations and model enumerations — fingerprint-keyed caching,
 in-plan deduplication, ``Shard.iterations=0`` accounting (an analysis is
 not a simulated iteration).
 
-Verdicts travel as histograms so the cache's JSON round-trip and the
-``SpecResult`` plumbing apply unchanged: a single synthetic final state
-``{__analysis__: code}`` with count 1, decoded back by
-:func:`verdict_from_histogram`.  Since the signature covers only the
-litmus text (which includes the scope tree), a campaign across the seven
-result chips analyses each scenario once, like model verdicts.
+Results are :class:`AnalysisVerdict` objects, the backend's
+:attr:`~repro.api.backends.Backend.result_type`: a state-less
+:class:`~repro.harness.histogram.Histogram` whose typed ``verdict``
+field the cache's JSON round-trip and the ``SpecResult`` plumbing carry
+unchanged.  Since the signature covers only the litmus text (which
+includes the scope tree), a campaign across the seven result chips
+analyses each scenario once, like model verdicts.
 
 :func:`prescreen` and :func:`run_prescreened` implement the ``--prescreen``
 flow: analyse every spec first, skip simulation for provably-clean cells
@@ -21,57 +22,51 @@ the rest through the real session.
 """
 
 import hashlib
+from dataclasses import dataclass
 
 from ..api.backends import Backend, Shard
 from ..harness.histogram import Histogram
-from ..litmus.condition import FinalState
 from ..litmus.writer import write_litmus
 from .races import CLEAN, RACY, UNKNOWN, analyze_test
-
-#: The synthetic location carrying a verdict through histogram plumbing.
-ANALYSIS_LOCATION = "__analysis__"
-
-#: Verdict <-> histogram encoding.
-VERDICT_CODES = {CLEAN: 0, UNKNOWN: 1, RACY: 2}
-CODE_VERDICTS = {code: verdict for verdict, code in VERDICT_CODES.items()}
 
 #: Bump to invalidate cached verdicts when the analysis rules change.
 ANALYSIS_VERSION = 1
 
-
-def verdict_state(verdict):
-    """Encode a verdict as a synthetic :class:`FinalState`."""
-    return FinalState.make(mem={ANALYSIS_LOCATION: VERDICT_CODES[verdict]})
+#: Verdicts from least to most severe.
+_SEVERITY = (CLEAN, UNKNOWN, RACY)
 
 
-def verdict_from_histogram(histogram):
-    """Decode a verdict histogram produced by :class:`AnalysisBackend`."""
-    states = list(histogram.counts)
-    if len(states) != 1:
-        from ..errors import ReproError
-        raise ReproError("not an analysis verdict histogram: %d states"
-                         % len(states))
-    mem = dict(states[0].mem)
-    code = mem.get(ANALYSIS_LOCATION)
-    if code not in CODE_VERDICTS:
-        from ..errors import ReproError
-        raise ReproError("not an analysis verdict histogram: %r" % (mem,))
-    return CODE_VERDICTS[code]
+@dataclass
+class AnalysisVerdict(Histogram):
+    """A static verdict: no final states, just ``racy``/``unknown``/
+    ``clean``."""
+
+    verdict: str = CLEAN
+
+    @classmethod
+    def merge(cls, verdicts):
+        """The most severe of the parts' verdicts."""
+        return cls(verdict=max((part.verdict for part in verdicts),
+                               key=_SEVERITY.index, default=CLEAN))
+
+    def pretty(self, condition=None):
+        return "Analysis verdict: %s" % self.verdict
 
 
 class AnalysisBackend(Backend):
     """Static analysis as a campaign backend.
 
-    ``run`` analyses the spec's litmus test and returns the encoded
-    verdict.  Like the model backend, each spec is one indivisible work
-    unit with ``iterations=0`` (pure static work — the session's
-    simulated-iteration statistic stays a sim/app-only number), and the
-    cache signature covers only the test text plus the analyzer version,
-    so verdicts dedupe across chips, seeds and iteration counts.
+    ``run_shard`` analyses the spec's litmus test and returns its
+    :class:`AnalysisVerdict`.  Like the model backend, each spec is one
+    indivisible work unit with ``iterations=0`` (pure static work — the
+    session's simulated-iteration statistic stays a sim/app-only
+    number), and the cache signature covers only the test text plus the
+    analyzer version, so verdicts dedupe across chips, seeds and
+    iteration counts.
     """
 
     name = "analysis"
-    supports_sharding = True
+    result_type = AnalysisVerdict
 
     def cache_signature(self, spec):
         payload = "analysis-v%d\x1e%s" % (ANALYSIS_VERSION,
@@ -82,13 +77,7 @@ class AnalysisBackend(Backend):
         return [Shard(index=0, iterations=0, seed=spec.seed)]
 
     def run_shard(self, spec, shard):
-        return self.run(spec)
-
-    def run(self, spec):
-        report = analyze_test(spec.test)
-        histogram = Histogram()
-        histogram.add(verdict_state(report.verdict))
-        return histogram
+        return AnalysisVerdict(verdict=analyze_test(spec.test).verdict)
 
 
 def analysis_session(jobs=1, executor="thread", cache=True, cache_dir=None,
@@ -113,8 +102,7 @@ def prescreen(specs, session=None):
         from ..errors import ReproError
         raise ReproError("prescreen needs an analysis session, got backend "
                          "%r" % session.backend.name)
-    return [verdict_from_histogram(result.histogram)
-            for result in session.run_specs(specs)]
+    return [result.histogram.verdict for result in session.run_specs(specs)]
 
 
 def condition_skippable(test):

@@ -1,8 +1,9 @@
 """Pluggable execution backends and deterministic shard planning.
 
 A :class:`Backend` turns a :class:`~repro.api.spec.RunSpec` into a
-:class:`~repro.harness.histogram.Histogram` of final states.  Two
-implementations ship:
+:class:`~repro.harness.histogram.Histogram` of final states, or into the
+typed subclass it names as :attr:`Backend.result_type` (the exhaustive
+and analysis backends).  Two implementations ship here:
 
 * :class:`SimBackend` — "run it on silicon": executes the spec on the
   operational GPU simulator, iteration by iteration, on the engine the
@@ -95,14 +96,18 @@ def plan_shards(spec, shard_size=DEFAULT_SHARD_SIZE):
 class Backend:
     """Protocol for execution backends.
 
-    ``run`` must be deterministic in the spec.  Backends that set
-    ``supports_sharding`` must implement ``run_shard`` such that merging
-    all shard histograms of :meth:`shards` (any order) equals ``run``'s
-    histogram for the same shard size.
+    A backend splits a spec into independent work units (:meth:`shards`)
+    and executes one at a time (:meth:`run_shard`); each returns an
+    instance of :attr:`result_type`, and merging every shard's result in
+    shard order (:meth:`run`) is the spec's result.  The session and the
+    result cache use :attr:`result_type` to merge shards and to decode
+    cached entries, so an oracle with more to say than final-state
+    counts declares a typed :class:`~repro.harness.histogram.Histogram`
+    subclass here.
     """
 
     name = "backend"
-    supports_sharding = False
+    result_type = Histogram
 
     def cache_signature(self, spec):
         """The part of ``spec`` this backend's result depends on.
@@ -116,14 +121,10 @@ class Backend:
     def shards(self, spec, shard_size):
         """Split ``spec`` into independent parallel work units.
 
-        ``None`` means the spec is indivisible and must go through
-        :meth:`run`.  The default for sharding backends is the
-        iteration decomposition of :func:`plan_shards`; backends whose
-        unit of work is not an iteration batch (one model verdict per
-        test) override this.
+        The default is the iteration decomposition of
+        :func:`plan_shards`; backends whose unit of work is not an
+        iteration batch (one model verdict per test) override this.
         """
-        if not self.supports_sharding:
-            return None
         return plan_shards(spec, shard_size)
 
     def cache_variant(self, spec, shard_size):
@@ -136,21 +137,24 @@ class Backend:
         """
         return ""
 
-    def run(self, spec):
-        """Execute ``spec`` fully; returns a Histogram."""
-        raise NotImplementedError
+    def run(self, spec, shard_size=DEFAULT_SHARD_SIZE):
+        """Execute ``spec`` fully and serially: the shard-order merge of
+        :meth:`run_shard` over :meth:`shards`."""
+        return self.result_type.merge(
+            self.run_shard(spec, shard)
+            for shard in self.shards(spec, shard_size))
 
     def run_shard(self, spec, shard):
-        """Execute one shard of ``spec``; returns a Histogram."""
-        raise NotImplementedError(
-            "%s does not support sharded execution" % self.name)
+        """Execute one shard of ``spec``; returns a :attr:`result_type`."""
+        raise NotImplementedError
 
     def consume_stats(self):
-        """Execution statistics accumulated since the previous call
-        (e.g. plan-cache hits), or ``None``.  Called in the worker that
-        ran the shard, so process pools ship the counts back with the
-        histogram."""
-        return None
+        """Execution counters accumulated since the previous call (e.g.
+        plan-cache hits), as a dict of
+        :class:`~repro.api.session.SessionStats` field increments.
+        Called in the worker that ran the shard, so process pools ship
+        the counts back with the result."""
+        return {}
 
 
 class SimBackend(Backend):
@@ -179,14 +183,12 @@ class SimBackend(Backend):
     """
 
     name = "sim"
-    supports_sharding = True
 
     #: Compiled-cell memo cap; a long-lived session (e.g. the benchmark
     #: suite's shared one) must not accumulate closures without bound.
     MAX_COMPILED = 512
 
-    def __init__(self, shard_size=DEFAULT_SHARD_SIZE):
-        self.shard_size = shard_size
+    def __init__(self):
         # Per-*thread* memo: a CompiledCell mutates its own machine
         # state during run_once, so two pool threads must never share
         # one.  (Process pools sidestep this via pickling, which drops
@@ -298,17 +300,13 @@ class SimBackend(Backend):
 
     def consume_stats(self):
         if not self.plan_dir:
-            return None
+            return {}
         from ..sim.plancache import plan_store
         return plan_store(self.plan_dir).consume_stats()
 
     def run_shard(self, spec, shard):
         return run_batch(self._machine(spec), shard.iterations,
                          random.Random(shard.seed), Histogram())
-
-    def run(self, spec):
-        return Histogram.merge(self.run_shard(spec, shard)
-                               for shard in plan_shards(spec, self.shard_size))
 
 
 class ModelBackend(Backend):
@@ -331,8 +329,6 @@ class ModelBackend(Backend):
     pool one verdict per worker (the verdict — one per test text — is
     already the memoisation unit, so chips never multiply the work).
     """
-
-    supports_sharding = True
 
     def __init__(self, model="ptx", fuel=128, max_executions=None):
         self.model = load_model(model) if isinstance(model, str) else model
@@ -357,9 +353,6 @@ class ModelBackend(Backend):
         return [Shard(index=0, iterations=0, seed=spec.seed)]
 
     def run_shard(self, spec, shard):
-        return self.run(spec)
-
-    def run(self, spec):
         # on_limit="error" is non-negotiable here: the campaign layer
         # treats this histogram as the *complete* allowed set, and a
         # truncated enumeration would manufacture false "violations" in

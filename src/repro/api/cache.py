@@ -7,10 +7,12 @@ process and can be shared between sessions.  Keys combine the backend
 name with the :meth:`RunSpec.fingerprint` — the same cell simulated and
 model-checked are distinct entries.
 
-Disk entries store the histogram as a list of ``{regs, mem, count}``
-records (a :class:`~repro.litmus.condition.FinalState` is a pair of
-sorted tuples, which maps cleanly onto JSON lists) plus enough metadata
-to audit the cache directory by hand.
+Disk entries store the result's own JSON form
+(:meth:`~repro.harness.histogram.Histogram.to_json`: ``{regs, mem,
+count}`` state records plus any typed fields) and enough metadata to
+audit the cache directory by hand.  An entry decodes as the
+``result_type`` of the backend asking for it, and any entry that fails
+to decode is a miss.
 """
 
 import json
@@ -19,12 +21,12 @@ import os
 from .._util import atomic_write
 from ..errors import ReproError
 from ..harness.histogram import Histogram
-from ..litmus.condition import FinalState
 from .result import SpecResult
 
 #: Bump when the on-disk entry layout changes; mismatched versions are
 #: treated as misses so stale caches degrade to re-simulation, not errors.
-DISK_FORMAT_VERSION = 1
+#: v2: typed results (:meth:`Histogram.to_json`) replace the state list.
+DISK_FORMAT_VERSION = 2
 
 
 def cache_key(backend_name, signature, variant=""):
@@ -41,32 +43,6 @@ def cache_key(backend_name, signature, variant=""):
         parts.append(variant)
     parts.append(signature)
     return "-".join(parts)
-
-
-def _encode_state(state, count):
-    return {"regs": [[tid, reg, value] for (tid, reg), value in state.regs],
-            "mem": [[loc, value] for loc, value in state.mem],
-            "count": count}
-
-
-def _decode_state(record):
-    regs = {(tid, reg): value for tid, reg, value in record["regs"]}
-    mem = {loc: value for loc, value in record["mem"]}
-    return FinalState.make(regs, mem), record["count"]
-
-
-def encode_histogram(histogram):
-    return [_encode_state(state, count)
-            for state, count in sorted(histogram.counts.items(),
-                                       key=lambda kv: str(kv[0]))]
-
-
-def decode_histogram(records):
-    histogram = Histogram()
-    for record in records:
-        state, count = _decode_state(record)
-        histogram.add(state, count)
-    return histogram
 
 
 class ResultCache:
@@ -91,20 +67,22 @@ class ResultCache:
     def _path(self, key):
         return os.path.join(self.cache_dir, key + ".json")
 
-    def get(self, backend_name, spec, signature=None, variant=""):
+    def get(self, backend_name, spec, signature=None, variant="",
+            result_type=Histogram):
         """The cached :class:`SpecResult` for ``spec``, or ``None``.
 
         Returned results are marked ``cached=True``, rebound to the
         *caller's* spec object (signature equality guarantees the
         backend-relevant content matches) and carry a *fresh* histogram
         copy, so mutating a returned histogram can never poison later
-        hits.
+        hits.  Disk entries decode as ``result_type``, the asking
+        backend's :attr:`~repro.api.backends.Backend.result_type`.
         """
         key = cache_key(backend_name, signature or spec.fingerprint(),
                         variant)
         entry = self._memory.get(key)
         if entry is None and self.cache_dir:
-            entry = self._read_disk(key)
+            entry = self._read_disk(key, result_type)
             if entry is not None:
                 self._memory[key] = entry
         if entry is None:
@@ -112,28 +90,28 @@ class ResultCache:
             return None
         self.hits += 1
         return SpecResult(spec=spec, backend=backend_name,
-                          histogram=Histogram(dict(entry.counts)),
-                          cached=True)
+                          histogram=entry.copy(), cached=True)
 
     def put(self, result, signature=None, variant=""):
         key = cache_key(result.backend,
                         signature or result.spec.fingerprint(), variant)
         # Store a private copy: callers own (and may mutate) the result
         # histogram they were handed.
-        self._memory[key] = Histogram(dict(result.histogram.counts))
+        self._memory[key] = result.histogram.copy()
         if self.cache_dir:
             self._write_disk(key, result)
 
-    def _read_disk(self, key):
+    def _read_disk(self, key, result_type):
         path = self._path(key)
         if not os.path.exists(path):
             return None
         try:
             with open(path) as handle:
                 payload = json.load(handle)
-            if payload.get("version") != DISK_FORMAT_VERSION:
+            if (not isinstance(payload, dict)
+                    or payload.get("version") != DISK_FORMAT_VERSION):
                 return None
-            return decode_histogram(payload["histogram"])
+            return result_type.from_json(payload["result"])
         except (ValueError, KeyError, TypeError, OSError):
             # A corrupt entry must never poison a campaign: treat as miss.
             return None
@@ -148,7 +126,7 @@ class ResultCache:
             "iterations": result.spec.iterations,
             "seed": result.spec.seed,
             "fingerprint": result.spec.fingerprint(),
-            "histogram": encode_histogram(result.histogram),
+            "result": result.histogram.to_json(),
         }
         atomic_write(self._path(key),
                      lambda stream: json.dump(payload, stream, indent=1))

@@ -2,7 +2,8 @@
 :class:`CampaignResult`.
 
 ``SpecResult`` is the unified per-cell outcome shared by every backend:
-a histogram plus the spec that produced it.  For the sim backend the
+a histogram (or the backend's typed subclass of one) plus the spec that
+produced it.  For the sim backend the
 histogram counts observed final states over the spec's iterations; for
 a model backend it holds the allowed final states (count 1 each), so
 ``observations``/``allowed`` give the paper's Allowed/Forbidden verdict.
@@ -23,13 +24,10 @@ class SpecResult:
 
     spec: object                   #: the RunSpec that produced this result
     backend: str                   #: name of the backend that ran it
-    histogram: object              #: Histogram of final states
+    #: The backend's result: a Histogram of final states, or the typed
+    #: subclass named by the backend's ``result_type``.
+    histogram: object
     cached: bool = False           #: satisfied from the result cache?
-    #: Backend execution statistics for this spec (e.g. plan-cache
-    #: hits/misses of the batch engine's cross-worker lowering cache),
-    #: or ``None`` when the backend reported nothing.  Cached results
-    #: carry ``None`` — nothing executed.
-    stats: dict = None
 
     # -- spec delegation (RunResult-compatible surface) -------------------
 

@@ -25,7 +25,6 @@ from concurrent import futures as _futures
 from dataclasses import asdict, dataclass
 
 from ..errors import ReproError
-from ..harness.histogram import Histogram
 from .backends import DEFAULT_SHARD_SIZE, make_backend
 from .cache import ResultCache, cache_key
 from .result import CampaignResult, SpecResult
@@ -54,27 +53,38 @@ def chunked(iterable, size):
 def _execute_shard(backend, spec, shard):
     """Module-level so process pools can pickle the work unit.
 
-    Returns ``(histogram, stats)`` — the stats delta (e.g. plan-cache
-    hits) is captured *in the worker that ran the shard*, so process
-    pools ship their counters back with the result.
+    Returns ``(result, counters)``: the backend's counter increments
+    (e.g. plan-cache hits, always a dict) are captured *in the worker
+    that ran the shard*, so process pools ship them back with the
+    result.
     """
-    histogram = backend.run_shard(spec, shard)
-    return histogram, backend.consume_stats()
+    result = backend.run_shard(spec, shard)
+    return result, backend.consume_stats()
 
 
-def _execute_spec(backend, spec):
-    histogram = backend.run(spec)
-    return histogram, backend.consume_stats()
+def _broken_pool(spec, shard):
+    """The error for a pool that broke before ``shard`` finished.  The
+    named shard is the first one still pending in plan order, not
+    necessarily the one whose worker crashed."""
+    return ReproError("the process pool broke (a worker died) before "
+                      "shard %d of %s@%s finished"
+                      % ((shard.index,) + spec.key))
 
 
-def _merge_stats(parts):
-    """Sum per-shard stats dicts; ``None`` when no shard reported any."""
-    total = {}
-    for part in parts:
-        if part:
-            for key, value in part.items():
-                total[key] = total.get(key, 0) + value
-    return total or None
+def _submit(pool, backend, spec, shard):
+    try:
+        return pool.submit(_execute_shard, backend, spec, shard)
+    except _futures.BrokenExecutor as error:
+        raise _broken_pool(spec, shard) from error
+
+
+def _outcome(spec, shard, future):
+    """A parallel shard's ``(result, counters)``; a broken pool is
+    reported against the cell, not as a bare pool error."""
+    try:
+        return future.result()
+    except _futures.BrokenExecutor as error:
+        raise _broken_pool(spec, shard) from error
 
 
 @dataclass
@@ -255,8 +265,7 @@ class Session:
             source = results[original]
             results[index] = SpecResult(
                 spec=specs[index], backend=source.backend,
-                histogram=Histogram(dict(source.histogram.counts)),
-                cached=True)
+                histogram=source.histogram.copy(), cached=True)
         return [results[index] for index in range(len(specs))]
 
     def campaign(self, tests, chips, incantations=BEST, iterations=None,
@@ -321,75 +330,31 @@ class Session:
 
     # -- execution strategies ---------------------------------------------
 
-    def _shards(self, spec):
-        """The backend's parallel decomposition of ``spec`` (None =
-        indivisible; sim: iteration shards; model: one verdict unit)."""
-        return self.backend.shards(spec, self.shard_size)
-
     def _run_serial(self, pending):
         executed = []
         for index, spec in pending:
-            shards = self._shards(spec)
-            if shards is not None:
-                outcomes = [_execute_shard(self.backend, spec, shard)
-                            for shard in shards]
-                histogram = Histogram.merge(h for h, _ in outcomes)
-                stats = _merge_stats(s for _, s in outcomes)
-                self._account(spec, shards)
-            else:
-                histogram, stats = _execute_spec(self.backend, spec)
-                self._account(spec, None)
-            executed.append((index, self._result(spec, histogram, stats)))
+            shards = self.backend.shards(spec, self.shard_size)
+            outcomes = [_execute_shard(self.backend, spec, shard)
+                        for shard in shards]
+            executed.append((index, self._result(spec, shards, outcomes)))
         return executed
 
     def _run_parallel(self, pending):
-        # Decomposition is per spec (Backend.shards may return None for
-        # an indivisible spec even on a sharding backend), so split the
-        # plan accordingly instead of branching on the class-level flag.
         with self._pool() as pool:
-            sharded = []
-            whole = []
+            plans = []
             for index, spec in pending:
-                shards = self._shards(spec)
-                if shards is not None:
-                    sharded.append((index, spec, shards))
-                else:
-                    whole.append((index, spec))
+                shards = self.backend.shards(spec, self.shard_size)
+                futures = [_submit(pool, self.backend, spec, shard)
+                           for shard in shards]
+                plans.append((index, spec, shards, futures))
             executed = []
-            if sharded:
-                executed.extend(self._run_parallel_sharded(pool, sharded))
-            if whole:
-                executed.extend(self._run_parallel_whole(pool, whole))
+            for index, spec, shards, futures in plans:
+                # Merge in shard-index order: bit-identical to the serial
+                # path no matter which worker finished first.
+                outcomes = [_outcome(spec, shard, future)
+                            for shard, future in zip(shards, futures)]
+                executed.append((index, self._result(spec, shards, outcomes)))
             return executed
-
-    def _run_parallel_sharded(self, pool, plans):
-        tasks = {}
-        for index, spec, shards in plans:
-            for shard in shards:
-                tasks[(index, shard.index)] = pool.submit(
-                    _execute_shard, self.backend, spec, shard)
-        executed = []
-        for index, spec, shards in plans:
-            # Merge in shard-index order: bit-identical to the serial path
-            # no matter which worker finished first.
-            outcomes = [tasks[(index, shard.index)].result()
-                        for shard in shards]
-            histogram = Histogram.merge(h for h, _ in outcomes)
-            stats = _merge_stats(s for _, s in outcomes)
-            self._account(spec, shards)
-            executed.append((index, self._result(spec, histogram, stats)))
-        return executed
-
-    def _run_parallel_whole(self, pool, pending):
-        submitted = [(index, spec, pool.submit(_execute_spec, self.backend,
-                                               spec))
-                     for index, spec in pending]
-        executed = []
-        for index, spec, future in submitted:
-            histogram, stats = future.result()
-            self._account(spec, None)
-            executed.append((index, self._result(spec, histogram, stats)))
-        return executed
 
     def _pool(self):
         if self.pool is not None:
@@ -402,20 +367,20 @@ class Session:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _result(self, spec, histogram, stats=None):
-        if stats:
-            self.stats.plan_cache_hits += stats.get("plan_cache_hits", 0)
-            self.stats.plan_cache_misses += stats.get(
-                "plan_cache_misses", 0)
+    def _result(self, spec, shards, outcomes):
+        """Merge one spec's ``(result, counters)`` shard outcomes and
+        account for the work."""
+        stats = self.stats
+        stats.executed += 1
+        stats.shards_executed += len(shards)
+        stats.simulated_iterations += sum(shard.iterations for shard in shards)
+        for _, counters in outcomes:
+            for key, value in counters.items():
+                setattr(stats, key, getattr(stats, key) + value)
+        histogram = self.backend.result_type.merge(
+            result for result, _ in outcomes)
         return SpecResult(spec=spec, backend=self.backend.name,
-                          histogram=histogram, cached=False, stats=stats)
-
-    def _account(self, spec, shards):
-        self.stats.executed += 1
-        if shards is not None:
-            self.stats.shards_executed += len(shards)
-            self.stats.simulated_iterations += sum(shard.iterations
-                                                   for shard in shards)
+                          histogram=histogram, cached=False)
 
     def _variant(self, spec):
         """The execution-parameter component of the cache key —
@@ -432,7 +397,8 @@ class Session:
             return None
         return self.cache.get(self.backend.name, spec,
                               signature=self.backend.cache_signature(spec),
-                              variant=self._variant(spec))
+                              variant=self._variant(spec),
+                              result_type=self.backend.result_type)
 
     def _store(self, result):
         if self.cache is not None:

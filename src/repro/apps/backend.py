@@ -67,9 +67,6 @@ class AppBackend(SimBackend):
     #: Compiled-cell memo cap per worker thread.
     MAX_COMPILED = 128
 
-    def __init__(self, shard_size=DEFAULT_APP_SHARD_SIZE):
-        super().__init__(shard_size)
-
     def _lowering(self, spec):
         return spec.intensity, False
 

@@ -37,7 +37,7 @@ def app_session(jobs=1, executor="thread", cache=True, cache_dir=None,
     parallel work unit) — the app default is finer than the sim
     backend's because launches cost more than litmus iterations.
     """
-    return Session(backend=AppBackend(shard_size=shard_size), jobs=jobs,
+    return Session(backend=AppBackend(), jobs=jobs,
                    executor=executor, cache=cache, cache_dir=cache_dir,
                    shard_size=shard_size, pool=pool)
 

@@ -16,14 +16,14 @@ Layers:
   :class:`~repro.model.relation.IndexedRelation` machinery);
 * :mod:`repro.exhaustive.backend` — :class:`ExhaustiveBackend`, the
   :class:`~repro.api.session.Session`-compatible verdict backend with
-  fingerprint-keyed caching;
+  fingerprint-keyed caching, and :class:`Exploration`, its typed result;
 * :mod:`repro.exhaustive.verify` — the ``repro-litmus verify`` report
   (:func:`verify_scenarios`, :class:`VerifyReport`).
 """
 
-from .backend import (EXHAUSTIVE_VERSION, ExhaustiveBackend,
-                      encode_exhaustive_histogram, exhaustive_session,
-                      exhaustive_verdict, split_exhaustive_histogram)
+from .backend import (EXHAUSTIVE_VERSION, ExhaustiveBackend, Exploration,
+                      exhaustive_session, exhaustive_verdict,
+                      split_exhaustive_histogram)
 from .explore import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS,
                       STRATEGIES, ExhaustiveResult, Explorer, Witness,
                       WitnessEvent, execution_graph, explore_test)
@@ -32,9 +32,9 @@ from .verify import (VERIFIED_TEXT, VerifyReport, VerifyRow,
 
 __all__ = [
     "DEFAULT_LOOP_BOUND", "DEFAULT_MAX_TRANSITIONS", "EXHAUSTIVE_VERSION",
-    "ExhaustiveBackend", "ExhaustiveResult", "Explorer", "STRATEGIES",
-    "VERIFIED_TEXT", "VerifyReport", "VerifyRow", "Witness", "WitnessEvent",
-    "encode_exhaustive_histogram", "execution_graph", "exhaustive_session",
+    "ExhaustiveBackend", "ExhaustiveResult", "Exploration", "Explorer",
+    "STRATEGIES", "VERIFIED_TEXT", "VerifyReport", "VerifyRow", "Witness",
+    "WitnessEvent", "execution_graph", "exhaustive_session",
     "exhaustive_verdict", "explore_test", "split_exhaustive_histogram",
     "verify_scenarios", "verify_selection",
 ]

@@ -15,19 +15,15 @@ session's shard-index-ordered merge reassembles exactly the serial
 result — ``repro-litmus verify --jobs N`` scales with cores without
 perturbing a single verdict bit.
 
-Results travel as histograms so the cache's JSON round-trip and the
-``SpecResult`` plumbing apply unchanged: every reachable final state
-appears with its branch multiplicity, and the exploration's metadata
-(bounded flag, execution/transition/loss counters) rides along as
-synthetic states under the reserved ``__exhaustive*`` locations.  The
-encoding is *merge-additive*: every metadata state keys the same
-``{location: 0}`` image and carries its payload in the *count* (value
-plus one per branch, so counts stay positive), which makes
-``Histogram.merge`` of per-branch encodings equal the encoding of the
-merged exploration.  :func:`split_exhaustive_histogram` divides the
-shard tally back out.  The synthetic states never flow through
-:meth:`~repro.harness.histogram.Histogram.observations` — decode first
-(which is why :func:`exhaustive_verdict` exists).
+Results are :class:`Exploration` objects, the backend's
+:attr:`~repro.api.backends.Backend.result_type`: a
+:class:`~repro.harness.histogram.Histogram` of the reachable final
+states (count 1 each, like a model's allowed set) with the exploration's
+typed counters — executions, transitions and losses, summed when branch
+results merge, and the bounded flag, OR'd.  The cache's JSON round-trip
+and the ``SpecResult`` plumbing carry those fields unchanged, and
+:meth:`~repro.harness.histogram.Histogram.observations` over an
+exploration counts reachable witness states.
 
 Exploration is *intensity-structural*: only which relaxation intents are
 non-zero matters (the explorer enumerates both branches of every
@@ -38,98 +34,78 @@ the strategy.
 """
 
 import hashlib
+from dataclasses import dataclass
 
 from ..api.backends import Backend, Shard
 from ..harness.histogram import Histogram
-from ..litmus.condition import FinalState
 from ..litmus.writer import write_litmus
 from .explore import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS, Explorer)
 
-#: Reserved location prefix for exploration metadata states.  Real
-#: programs never name memory locations with a dunder prefix, so the
-#: split below is unambiguous.
-EXHAUSTIVE_PREFIX = "__exhaustive"
-
-#: The individual metadata locations.
-BOUNDED_LOCATION = "__exhaustive_bounded__"
-EXECUTIONS_LOCATION = "__exhaustive_executions__"
-TRANSITIONS_LOCATION = "__exhaustive_transitions__"
-LOSSES_LOCATION = "__exhaustive_losses__"
-SHARDS_LOCATION = "__exhaustive_shards__"
-
 #: Bump to invalidate cached explorations when the explorer changes.
-#: v2: branch-sharded explorations, merge-additive metadata encoding,
-#: intra-thread independence and state-hash loop closure.
+#: v2: branch-sharded explorations, intra-thread independence and
+#: state-hash loop closure.
 EXHAUSTIVE_VERSION = 2
 
 
-def _meta_state(location):
-    # The *value* in the state is always 0: the payload lives in the
-    # histogram count so per-branch encodings merge by addition.
-    return FinalState.make(mem={location: 0})
+@dataclass
+class Exploration(Histogram):
+    """The reachable final states of an exploration (count 1 each) plus
+    its counters — of a whole spec or of a single root branch."""
 
+    executions: int = 0     #: complete executions explored
+    transitions: int = 0    #: transitions executed (the pruning metric)
+    losses: int = 0         #: executions satisfying the condition
+    bounded: bool = False   #: spin retries truncated at the loop bound
 
-def encode_exhaustive_histogram(result):
-    """Encode an :class:`~repro.exhaustive.explore.ExhaustiveResult` —
-    of a full exploration or of a single branch — as a histogram:
-    reachable states plus count-carrying metadata states.
+    @classmethod
+    def of(cls, result):
+        """The :class:`Exploration` of an
+        :class:`~repro.exhaustive.explore.ExhaustiveResult`."""
+        return cls(counts=dict.fromkeys(sorted(result.reachable, key=str), 1),
+                   executions=result.executions,
+                   transitions=result.transitions, losses=result.losses,
+                   bounded=result.bounded)
 
-    Counters encode as ``value + 1`` (counts must stay positive) and
-    the bounded flag as ``2 if bounded else 1``; the shard state counts
-    how many encodings were merged, so the decoder can subtract the
-    per-branch offsets back out.
-    """
-    histogram = Histogram()
-    for state in result.reachable:
-        histogram.add(state)
-    histogram.add(_meta_state(SHARDS_LOCATION))
-    histogram.add(_meta_state(BOUNDED_LOCATION), 2 if result.bounded else 1)
-    histogram.add(_meta_state(EXECUTIONS_LOCATION), result.executions + 1)
-    histogram.add(_meta_state(TRANSITIONS_LOCATION), result.transitions + 1)
-    histogram.add(_meta_state(LOSSES_LOCATION), result.losses + 1)
-    return histogram
+    @classmethod
+    def merge(cls, explorations):
+        """Union the reachable states (listed in a canonical order, so
+        fresh and cached explorations print alike), sum the counters
+        and OR the bounded flags."""
+        merged = cls()
+        states = set()
+        for part in explorations:
+            states.update(part.counts)
+            merged.executions += part.executions
+            merged.transitions += part.transitions
+            merged.losses += part.losses
+            merged.bounded = merged.bounded or part.bounded
+        merged.counts = dict.fromkeys(sorted(states, key=str), 1)
+        return merged
 
-
-def _is_meta(state):
-    mem = state.mem
-    return (len(mem) == 1 and not state.regs
-            and mem[0][0].startswith(EXHAUSTIVE_PREFIX))
+    def header(self):
+        return ("Exploration (%d reachable states, %d executions, "
+                "%d transitions, %d losses%s)"
+                % (len(self), self.executions, self.transitions, self.losses,
+                   ", bounded" if self.bounded else ""))
 
 
 def split_exhaustive_histogram(histogram):
-    """Split an encoded histogram into ``(reachable, meta)``.
-
-    ``reachable`` is a :class:`~repro.harness.histogram.Histogram` of
-    the real final states (counted once per branch that reached them);
-    ``meta`` maps the ``__exhaustive*`` locations to their decoded
-    integer values (branch offsets already divided out) plus the shard
-    tally itself.
-    """
-    reachable = Histogram()
-    tallies = {}
-    for state, count in histogram.counts.items():
-        if _is_meta(state):
-            tallies[state.mem[0][0]] = count
-        else:
-            reachable.add(state, count)
-    if SHARDS_LOCATION not in tallies or BOUNDED_LOCATION not in tallies:
+    """``(reachable, meta)`` of an exhaustive result: the reachable
+    states as a plain :class:`~repro.harness.histogram.Histogram` and
+    the counters by name.  Raises :class:`~repro.errors.ReproError` on
+    anything but an :class:`Exploration`."""
+    if not isinstance(histogram, Exploration):
         from ..errors import ReproError
-        raise ReproError("not an exhaustive histogram: missing %r/%r states"
-                         % (SHARDS_LOCATION, BOUNDED_LOCATION))
-    shards = tallies[SHARDS_LOCATION]
-    meta = {SHARDS_LOCATION: shards}
-    for location, count in tallies.items():
-        if location == SHARDS_LOCATION:
-            continue
-        if location == BOUNDED_LOCATION:
-            meta[location] = 1 if count > shards else 0
-        else:
-            meta[location] = count - shards
-    return reachable, meta
+        raise ReproError("not an exhaustive result: %s"
+                         % type(histogram).__name__)
+    return Histogram(dict(histogram.counts)), {
+        "executions": histogram.executions,
+        "transitions": histogram.transitions,
+        "losses": histogram.losses, "bounded": histogram.bounded}
 
 
 def exhaustive_verdict(histogram, condition):
-    """Decode an encoded histogram into a verdict dict.
+    """The verdict dict of an :class:`Exploration`.
 
     Returns ``{"states", "executions", "transitions", "losses",
     "bounded", "losing_states", "verified"}`` where ``losing_states``
@@ -138,16 +114,9 @@ def exhaustive_verdict(histogram, condition):
     executions.
     """
     reachable, meta = split_exhaustive_histogram(histogram)
-    losing = reachable.witnesses(condition)
-    return {
-        "states": len(reachable),
-        "executions": meta[EXECUTIONS_LOCATION],
-        "transitions": meta[TRANSITIONS_LOCATION],
-        "losses": meta[LOSSES_LOCATION],
-        "bounded": bool(meta[BOUNDED_LOCATION]),
-        "losing_states": losing,
-        "verified": meta[LOSSES_LOCATION] == 0,
-    }
+    return dict(meta, states=len(reachable),
+                losing_states=reachable.witnesses(condition),
+                verified=meta["losses"] == 0)
 
 
 class ExhaustiveBackend(Backend):
@@ -156,11 +125,11 @@ class ExhaustiveBackend(Backend):
     ``shards`` splits the spec's exploration into its root branches (one
     shard each, ``iterations=0`` — the session's simulated-iteration
     statistic stays a sim/app-only number) and ``run_shard`` explores a
-    single branch; the session merges the per-branch histograms in shard
-    order, which by the explorer's determinism invariant reproduces the
-    serial result bit for bit.  The verdict is a pure function of the
-    spec — independent of ``--jobs``, the executor and the seed — so
-    cached and fresh results are interchangeable.
+    single branch; the session merges the per-branch explorations in
+    shard order, which by the explorer's determinism invariant
+    reproduces the serial result bit for bit.  The verdict is a pure
+    function of the spec — independent of ``--jobs``, the executor and
+    the seed — so cached and fresh results are interchangeable.
 
     A fresh :class:`~repro.exhaustive.explore.Explorer` is compiled per
     ``run_shard`` call: compiled cells hold closures (unpicklable, so
@@ -170,7 +139,7 @@ class ExhaustiveBackend(Backend):
     """
 
     name = "exhaustive"
-    supports_sharding = True
+    result_type = Exploration
 
     def __init__(self, strategy="dpor", loop_bound=DEFAULT_LOOP_BOUND,
                  max_transitions=DEFAULT_MAX_TRANSITIONS):
@@ -202,16 +171,7 @@ class ExhaustiveBackend(Backend):
                 for index in range(len(plan))]
 
     def run_shard(self, spec, shard):
-        result = self._explorer(spec).run_branch(shard.index)
-        return encode_exhaustive_histogram(result)
-
-    def run(self, spec):
-        """One whole exploration, encoded as the merge of its branches
-        (so unsharded and sharded runs produce identical histograms)."""
-        explorer = self._explorer(spec)
-        return Histogram.merge(
-            encode_exhaustive_histogram(explorer.run_branch(index))
-            for index in range(len(explorer.root_plan())))
+        return Exploration.of(self._explorer(spec).run_branch(shard.index))
 
 
 def exhaustive_session(jobs=1, executor="thread", cache=True, cache_dir=None,

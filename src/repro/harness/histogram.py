@@ -1,6 +1,16 @@
-"""Outcome histograms: what the litmus tool prints after 100k runs."""
+"""Outcome histograms: what the litmus tool prints after 100k runs.
 
-from dataclasses import dataclass, field
+:class:`Histogram` is also the one result type of every campaign
+backend.  An oracle with more to say than final-state counts returns a
+subclass with typed fields (declared as dataclass fields), overriding
+:meth:`Histogram.merge` for them; :meth:`~Histogram.copy` and the JSON
+codec (:meth:`~Histogram.to_json` / :meth:`~Histogram.from_json`) carry
+every declared field without further code.
+"""
+
+from dataclasses import dataclass, field, fields, replace
+
+from ..litmus.condition import FinalState
 
 
 @dataclass
@@ -38,7 +48,7 @@ class Histogram:
         return self.observations(condition) * 100000.0 / self.total
 
     def merged(self, other):
-        return Histogram.merge([self, other])
+        return type(self).merge([self, other])
 
     @classmethod
     def merge(cls, histograms):
@@ -54,8 +64,45 @@ class Histogram:
                 result.add(state, count)
         return result
 
+    def copy(self):
+        """An independent copy, typed fields included."""
+        return replace(self, counts=dict(self.counts))
+
+    def to_json(self):
+        """A JSON-ready dict: the states as ``{regs, mem, count}``
+        records (sorted, so equal histograms encode identically) plus
+        every typed field of a subclass."""
+        payload = {name: getattr(self, name) for name in self._fields()}
+        payload["states"] = [
+            {"regs": [[tid, reg, value] for (tid, reg), value in state.regs],
+             "mem": [[loc, value] for loc, value in state.mem],
+             "count": count}
+            for state, count in sorted(self.counts.items(),
+                                       key=lambda kv: str(kv[0]))]
+        return payload
+
+    @classmethod
+    def from_json(cls, payload):
+        """Inverse of :meth:`to_json`; raises ``KeyError``/``TypeError``/
+        ``ValueError`` on a malformed payload."""
+        histogram = cls(**{name: payload[name] for name in cls._fields()})
+        for record in payload["states"]:
+            regs = {(tid, reg): value for tid, reg, value in record["regs"]}
+            mem = {loc: value for loc, value in record["mem"]}
+            histogram.add(FinalState.make(regs, mem), record["count"])
+        return histogram
+
+    @classmethod
+    def _fields(cls):
+        """The typed fields a subclass adds to the state counts."""
+        return [item.name for item in fields(cls) if item.name != "counts"]
+
+    def header(self):
+        """The first line of :meth:`pretty`."""
+        return "Histogram (%d states, %d runs)" % (len(self), self.total)
+
     def pretty(self, condition=None):
-        lines = ["Histogram (%d states, %d runs)" % (len(self), self.total)]
+        lines = [self.header()]
         for state, count in self:
             marker = ""
             if condition is not None and condition.holds(state):

@@ -99,16 +99,10 @@ class PlanStore:
             pass
 
     def consume_stats(self):
-        """Hit/miss counts accumulated since the previous call.
-
-        Returns ``None`` when nothing happened, so shard results only
-        carry a stats payload when the plan cache was actually touched.
-        """
+        """Hit/miss counts accumulated since the previous call."""
         with self._lock:
             hits = self.hits - self._consumed_hits
             misses = self.misses - self._consumed_misses
             self._consumed_hits = self.hits
             self._consumed_misses = self.misses
-        if not hits and not misses:
-            return None
         return {"plan_cache_hits": hits, "plan_cache_misses": misses}

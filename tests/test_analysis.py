@@ -9,10 +9,8 @@ the backend registry, and the CLI ``analyze`` subcommand.
 import pytest
 
 from repro.analysis import (CLEAN, RACY, UNKNOWN, AnalysisBackend,
-                            analysis_session, analyze_test,
-                            condition_skippable, prescreen, run_prescreened,
-                            verdict_from_histogram, verdict_state)
-from repro.analysis.backend import ANALYSIS_LOCATION
+                            AnalysisVerdict, analysis_session, analyze_test,
+                            condition_skippable, prescreen, run_prescreened)
 from repro.analysis.consistency import check_library, check_scenarios
 from repro.api.backends import make_backend
 from repro.api.spec import RunSpec
@@ -180,20 +178,26 @@ class TestDiagnostics:
 class TestVerdictEncoding:
     def test_round_trip(self):
         for verdict in (CLEAN, UNKNOWN, RACY):
-            histogram = Histogram()
-            histogram.add(verdict_state(verdict))
-            assert verdict_from_histogram(histogram) == verdict
+            result = AnalysisVerdict(verdict=verdict)
+            decoded = AnalysisVerdict.from_json(result.to_json())
+            assert decoded == result and decoded.verdict == verdict
+            assert len(decoded) == 0 and result.copy() == result
 
     def test_rejects_empty_histogram(self):
-        with pytest.raises(ReproError):
-            verdict_from_histogram(Histogram())
+        with pytest.raises(KeyError):
+            AnalysisVerdict.from_json(Histogram().to_json())
 
     def test_rejects_foreign_histogram(self):
         from repro.litmus.condition import FinalState
         histogram = Histogram()
         histogram.add(FinalState.make(mem={"x": 1}))
-        with pytest.raises(ReproError):
-            verdict_from_histogram(histogram)
+        with pytest.raises(KeyError):
+            AnalysisVerdict.from_json(histogram.to_json())
+
+    def test_merge_keeps_the_most_severe_verdict(self):
+        parts = [AnalysisVerdict(verdict=v) for v in (CLEAN, RACY, UNKNOWN)]
+        assert AnalysisVerdict.merge(parts).verdict == RACY
+        assert AnalysisVerdict.merge(parts[:1]).verdict == CLEAN
 
 
 class TestAnalysisBackend:
@@ -219,7 +223,7 @@ class TestAnalysisBackend:
                  RunSpec.make(library.build("mp"), "GTX7", iterations=999,
                               seed=7)]
         results = session.run_specs(specs)
-        verdicts = [verdict_from_histogram(r.histogram) for r in results]
+        verdicts = [r.histogram.verdict for r in results]
         assert verdicts == [RACY, RACY]
         # The signature covers only the litmus text: the second chip's
         # cell deduplicates in-plan, and nothing counts as simulated.
@@ -233,18 +237,17 @@ class TestAnalysisBackend:
                             iterations=10)
         first = analysis_session(cache_dir=str(tmp_path))
         result = first.run_specs([spec])[0]
-        assert verdict_from_histogram(result.histogram) == CLEAN
+        assert result.histogram.verdict == CLEAN
         assert first.stats.cache_hits == 0
         second = analysis_session(cache_dir=str(tmp_path))
         again = second.run_specs([spec])[0]
         assert second.stats.cache_hits == 1
-        assert verdict_from_histogram(again.histogram) == CLEAN
+        assert again.histogram.verdict == CLEAN
 
     def test_scenario_specs_run_through_the_backend(self):
         session = analysis_session(cache=False)
         specs = app_matrix(select_scenarios(["ticket"]), ["Titan"], runs=10)
-        verdicts = [verdict_from_histogram(r.histogram)
-                    for r in session.run_specs(specs)]
+        verdicts = [r.histogram.verdict for r in session.run_specs(specs)]
         assert verdicts == [RACY, CLEAN]
 
 

@@ -14,8 +14,8 @@ numpy dispatch.  Its contracts, enforced here:
   jobs/executor decomposition, and unchanged by a plan round-trip;
 * lowered plans round-trip through the process-safe plan store
   (:mod:`repro.sim.plancache`) bit-identically, tolerate corrupt
-  entries, and surface hit/miss counters through ``SpecResult.stats``
-  and the session stats — including across process-pool workers.
+  entries, and surface hit/miss counters through the session stats —
+  including across process-pool workers.
 """
 
 import hashlib
@@ -158,7 +158,8 @@ class TestPlanCache:
                 == run_batch(fresh, 1500, random.Random(2)).counts)
         assert store.consume_stats() == {"plan_cache_hits": 1,
                                          "plan_cache_misses": 1}
-        assert store.consume_stats() is None  # deltas drain
+        assert store.consume_stats() == {"plan_cache_hits": 0,
+                                         "plan_cache_misses": 0}  # drained
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         directory = str(tmp_path / "plans")
@@ -175,23 +176,28 @@ class TestPlanCache:
         assert plan_signature("a", 1) != plan_signature("a", 2)
         assert plan_signature("a", 1) == plan_signature("a", 1)
 
-    def test_in_process_hit_and_spec_result_stats(self, tmp_path):
+    def test_in_process_hit_and_session_stats(self, tmp_path):
         first = app_session(cache_dir=str(tmp_path))
         spec_a = ScenarioSpec.make("ticket", "TesC", runs=200,
                                    engine="batch")
-        result_a = first.run_specs([spec_a])[0]
-        assert result_a.stats["plan_cache_misses"] >= 1
+        first.run_specs([spec_a])
         assert first.stats.plan_cache_misses >= 1
+        assert first.stats.plan_cache_hits == 0
         # Same lowering (scenario/chip/intensity) on a fresh backend
         # memo and a different result-cache key: the lowering must hit
         # the shared store.
         second = app_session(cache_dir=str(tmp_path))
-        result_b = second.run_specs([ScenarioSpec.make(
-            "ticket", "TesC", runs=200, seed=1, engine="batch")])[0]
-        assert result_b.stats["plan_cache_hits"] >= 1
+        second.run_specs([ScenarioSpec.make(
+            "ticket", "TesC", runs=200, seed=1, engine="batch")])
         assert second.stats.plan_cache_hits >= 1
+        assert second.stats.plan_cache_misses == 0
+        # A cached result executes nothing, so it lowers nothing.
+        before = second.stats.snapshot()
         cached = second.run_specs([spec_a])[0]
-        assert cached.cached and cached.stats is None
+        assert cached.cached
+        after = second.stats.snapshot()
+        assert after["plan_cache_hits"] == before["plan_cache_hits"]
+        assert after["plan_cache_misses"] == before["plan_cache_misses"]
 
     def test_process_pool_workers_hit_shared_store(self, tmp_path):
         cache_dir = str(tmp_path)

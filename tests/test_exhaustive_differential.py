@@ -107,7 +107,7 @@ class TestExhaustiveVsSimulation:
     def test_50k_batch_campaign_states_are_reachable(self, scenario_name):
         """Every state a 50k-launch batch campaign observes on Titan is
         exhaustive-reachable after scenario projection."""
-        from repro.apps.backend import AppBackend
+        from repro.apps.backend import DEFAULT_APP_SHARD_SIZE, AppBackend
 
         scenario = get_scenario(scenario_name)
         chip = CHIPS["Titan"]
@@ -115,7 +115,7 @@ class TestExhaustiveVsSimulation:
         projected = {scenario.project(state) for state in result.reachable}
         spec = ScenarioSpec(scenario=scenario, chip=chip, iterations=50000,
                             seed=11, intensity=100.0, engine="batch")
-        histogram = AppBackend().run(spec)
+        histogram = AppBackend().run(spec, shard_size=DEFAULT_APP_SHARD_SIZE)
         assert set(histogram.counts) <= projected
         # The campaign's loss verdict can never contradict the
         # verifier: losses sampled => losses proven reachable.

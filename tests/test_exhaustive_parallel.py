@@ -18,10 +18,9 @@ from repro.api.spec import RunSpec
 from repro.apps.scenario import ScenarioSpec, get_scenario
 from repro.diy import (default_pool, fences_from_names, generate_tests,
                        scopes_from_names)
-from repro.exhaustive import (ExhaustiveBackend, exhaustive_session,
-                              exhaustive_verdict)
+from repro.exhaustive import (ExhaustiveBackend, Exploration,
+                              exhaustive_session, exhaustive_verdict)
 from repro.exhaustive.explore import Explorer
-from repro.harness.histogram import Histogram
 from repro.perf.exhaustbench import balance_bound, exhaust_corpus_test
 from repro.sim import CHIPS
 
@@ -47,8 +46,7 @@ class TestParallelBitIdentity:
         for jobs, executor in PARALLEL_CONFIGS:
             session = exhaustive_session(jobs=jobs, executor=executor,
                                          cache=False)
-            got = [result.histogram.counts
-                   for result in session.run_specs(specs)]
+            got = [result.histogram for result in session.run_specs(specs)]
             if baseline is None:
                 baseline = got
             else:
@@ -127,11 +125,11 @@ class TestBranchPartition:
         shards = backend.shards(spec, shard_size=0)
         assert len(shards) == len(Explorer(test, chip).root_plan())
         assert all(shard.iterations == 0 for shard in shards)
-        # Merging the per-shard encodings in any order reproduces the
-        # backend's own (serial) histogram.
-        merged = Histogram.merge(backend.run_shard(spec, shard)
-                                 for shard in reversed(shards))
-        assert merged.counts == backend.run(spec).counts
+        # Merging the per-branch explorations in any order reproduces
+        # the backend's own (serial) exploration, counters included.
+        merged = Exploration.merge(backend.run_shard(spec, shard)
+                                   for shard in reversed(shards))
+        assert merged == backend.run(spec)
 
     def test_wide_cells_balance_at_four_workers(self):
         # The deterministic load-balance bound of the branch partition

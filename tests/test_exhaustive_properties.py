@@ -9,22 +9,25 @@ The contracts the tentpole stands on:
 * **Determinism** — verdicts are a pure function of the spec:
   identical across ``--jobs``, executor kinds and repeat runs, and
   cache round-trips reproduce them bit for bit;
-* the meta-histogram encoding round-trips, cache signatures separate
-  exactly what exploration depends on (structural intent, loop bound,
-  strategy — not the numeric intensity), the loop bound flags bounded
-  verdicts, the transition budget fails loudly, and witnesses index
-  into PR 4's relation machinery.
+* the typed exploration result merges and round-trips, cache
+  signatures separate exactly what exploration depends on (structural
+  intent, loop bound, strategy — not the numeric intensity), the loop
+  bound flags bounded verdicts, the transition budget fails loudly, and
+  witnesses index into the model layer's relation machinery.
 """
+
+import json
 
 import pytest
 
+from repro.api import RunSpec
 from repro.apps.scenario import ScenarioSpec, get_scenario
 from repro.diy import (default_pool, fences_from_names, generate_tests,
                        scopes_from_names)
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.exhaustive import (DEFAULT_LOOP_BOUND, ExhaustiveBackend,
-                              VERIFIED_TEXT, encode_exhaustive_histogram,
-                              execution_graph, exhaustive_session,
+                              Exploration, VERIFIED_TEXT, execution_graph,
+                              exhaustive_session,
                               exhaustive_verdict, explore_test,
                               split_exhaustive_histogram, verify_scenarios)
 from repro.errors import ExplorationLimit
@@ -98,9 +101,9 @@ class TestDeterminism:
     def test_cache_round_trip(self, tmp_path):
         specs = self._specs()
         first = exhaustive_session(cache_dir=str(tmp_path))
-        cold = [r.histogram.counts for r in first.run_specs(specs)]
+        cold = [r.histogram for r in first.run_specs(specs)]
         second = exhaustive_session(cache_dir=str(tmp_path))
-        warm = [r.histogram.counts for r in second.run_specs(specs)]
+        warm = [r.histogram for r in second.run_specs(specs)]
         assert warm == cold
         assert second.stats.cache_hits == len(specs)
 
@@ -116,7 +119,7 @@ class TestDeterminism:
 class TestBackendEncoding:
     def test_histogram_round_trip(self):
         result = explore_test(library.build("mp"), CHIPS["Titan"])
-        histogram = encode_exhaustive_histogram(result)
+        histogram = Exploration.of(result)
         reachable, meta = split_exhaustive_histogram(histogram)
         assert set(reachable.counts) == set(result.reachable)
         verdict = exhaustive_verdict(histogram,
@@ -131,6 +134,28 @@ class TestBackendEncoding:
     def test_split_rejects_plain_histograms(self):
         with pytest.raises(ReproError):
             split_exhaustive_histogram(Histogram())
+
+    def test_exploration_merge_and_json_round_trip(self):
+        first, second = sorted(
+            explore_test(library.build("mp"), CHIPS["Titan"]).reachable,
+            key=str)[:2]
+        merged = Exploration.merge([
+            Exploration(counts={first: 1}, executions=2, transitions=5,
+                        losses=1),
+            Exploration(counts={first: 1, second: 1}, executions=3,
+                        transitions=7, bounded=True)])
+        assert merged == Exploration(counts={first: 1, second: 1},
+                                     executions=5, transitions=12, losses=1,
+                                     bounded=True)
+        assert Exploration.from_json(json.loads(json.dumps(
+            merged.to_json()))) == merged
+        assert merged.copy() == merged and merged.copy() is not merged
+
+    def test_deduplicated_twin_keeps_the_counters(self):
+        spec = RunSpec.make(library.build("mp"), "Titan", iterations=1)
+        first, twin = exhaustive_session(cache=False).run_specs([spec, spec])
+        assert twin.cached and twin.histogram == first.histogram
+        assert twin.histogram.transitions > 0
 
     def test_cache_signature_is_intensity_structural(self):
         backend = ExhaustiveBackend()

@@ -7,8 +7,13 @@ in a one-line :class:`~repro.errors.ReproError` instead of a traceback.
 * A write that fails part-way leaves the old entry and no temp file.
 * A ``cache_dir`` that names an existing file is refused by path.
 * ``Session.run`` takes a library test name and rejects an unknown one.
+* A disk entry that does not decode (not an object, truncated, an older
+  format) is a miss: the cell is recomputed and the entry rewritten.
+* A process-pool worker that dies mid-shard is reported against the
+  cell and shard it was running.
 """
 
+import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -16,8 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro._util import atomic_write
-from repro.api import RunSpec, Session
-from repro.api.cache import ResultCache
+from repro.api import RunSpec, Session, SimBackend
+from repro.api.cache import DISK_FORMAT_VERSION, ResultCache
 from repro.errors import ReproError
 from repro.litmus import library
 
@@ -84,3 +89,47 @@ def test_session_run_accepts_a_library_test_name():
     with pytest.raises(ReproError) as excinfo:
         session.run("no-such-test", "Titan", iterations=10)
     assert "no-such-test" in str(excinfo.value)
+
+
+def test_undecodable_cache_entries_are_recomputed(tmp_path):
+    cache_dir = str(tmp_path)
+    spec = RunSpec.make(library.build("mp"), "Titan", iterations=50, seed=2)
+    fresh = Session(cache_dir=cache_dir).run(spec)
+    (name,) = [name for name in os.listdir(cache_dir)
+               if name.endswith(".json")]
+    path = os.path.join(cache_dir, name)
+    with open(path) as handle:
+        good = handle.read()
+    v1 = dict(json.loads(good), version=1)
+    v1["histogram"] = v1.pop("result")["states"]
+    for bad in ("[]", "null", good[:len(good) // 2], json.dumps(v1)):
+        with open(path, "w") as handle:
+            handle.write(bad)
+        session = Session(cache_dir=cache_dir)
+        result = session.run(spec)
+        assert not result.cached and session.stats.executed == 1
+        assert result.histogram == fresh.histogram
+        with open(path) as handle:
+            assert json.load(handle)["version"] == DISK_FORMAT_VERSION
+
+
+class DyingBackend(SimBackend):
+    """Kills its worker process on shard 1 of ``sb``."""
+
+    def run_shard(self, spec, shard):
+        if spec.test.name == "sb" and shard.index == 1:
+            os._exit(3)
+        return super().run_shard(spec, shard)
+
+
+def test_dead_worker_names_the_cell_and_shard():
+    specs = [RunSpec.make(library.build(name), "Titan", iterations=30)
+             for name in ("mp", "sb")]
+    # One worker runs the shards in submission order, so shard 1 of sb
+    # is the first future the dead worker breaks.
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        session = Session(backend=DyingBackend(), jobs=2, shard_size=10,
+                          cache=False, pool=pool)
+        with pytest.raises(ReproError) as excinfo:
+            session.run_specs(specs)
+    assert "before shard 1 of sb@Titan finished" in str(excinfo.value)

@@ -140,6 +140,22 @@ class TestCli:
         assert main(["run", "mp", "--chip", "Titan", "--jobs", "2"]) == 0
         assert "via sim" in capsys.readouterr().out
 
+    def test_run_exhaustive_backend_lists_reachable_states(self, capsys):
+        assert main(["run", "mp", "--chip", "Titan",
+                     "--backend", "exhaustive"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("Exploration (4 reachable states")
+        assert sum(1 for line in lines if " : " in line) == 4
+        assert any(line.startswith("Observation 1/4 ") for line in lines)
+        assert not any("__" in line for line in lines)
+
+    def test_run_analysis_backend_prints_the_verdict(self, capsys):
+        assert main(["run", "mp", "--chip", "Titan",
+                     "--backend", "analysis"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "Analysis verdict: racy"
+        assert "__" not in out
+
     def test_campaign_subcommand(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_ITERS", "200")
         argv = ["campaign", "mp", "lb", "--chips", "Titan", "HD7970",

@@ -231,10 +231,10 @@ class TestEnginePlumbing:
                 is batch_machine)
 
     def test_backend_run_batch_engine(self):
-        backend = SimBackend(shard_size=40)
+        backend = SimBackend()
         spec = RunSpec.make(library.build("sb"), "TesC", iterations=100,
                             seed=5, engine="batch")
-        histogram = backend.run(spec)
+        histogram = backend.run(spec, shard_size=40)
         assert histogram.total == 100
 
     def test_session_batch_engine(self):

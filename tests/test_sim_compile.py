@@ -35,12 +35,12 @@ def _histograms(test, chip, incantations, iterations, seed,
                 shard_size=DEFAULT_SHARD_SIZE):
     """Run one cell on both engines through the real backend/shard path;
     returns (reference counts, fast counts)."""
-    backend = SimBackend(shard_size=shard_size)
+    backend = SimBackend()
     out = []
     for engine in ("reference", "fast"):
         spec = RunSpec.make(test, chip, incantations=incantations,
                             iterations=iterations, seed=seed, engine=engine)
-        out.append(backend.run(spec).counts)
+        out.append(backend.run(spec, shard_size=shard_size).counts)
     return out
 
 
