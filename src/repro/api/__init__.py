@@ -16,8 +16,9 @@ Quick tour::
     print(result.summary())
 
     # The simulation engine is switchable per session, per call or per
-    # spec ("fast" compiled cells by default, "reference" for the
-    # generic interpreter); histograms are bit-identical either way.
+    # spec ("batch" numpy lockstep shards by default when numpy is
+    # importable, else "fast" compiled cells; "fast" and the generic
+    # "reference" interpreter give bit-identical histograms).
     slow = Session(engine="reference")
 
     campaign = session.campaign(

@@ -32,6 +32,7 @@ from .._util import format_table
 from ..diy.naming import NameAllocator
 from ..errors import ReproError
 from ..harness.report import conformance_table
+from ..sim.engine import resolve_engine
 from .backends import ModelBackend
 from .session import DEFAULT_CHUNK_SIZE, Session, chunked
 from .spec import BEST, RunSpec, matrix, resolve_chip
@@ -85,10 +86,15 @@ class ConformanceReport:
     set; ``cells`` lists one :class:`CellConformance` per ``(test,
     chip)`` in campaign order.  Test names key the report, so the corpus
     must be uniquely named (:func:`uniquify_tests`,
-    :func:`~repro.diy.generate.generate_tests`).
+    :func:`~repro.diy.generate.generate_tests`).  ``engine`` names the
+    sim engine whose observations the cells hold: the engines' seeded
+    histograms differ (``batch`` is distribution-equivalent to ``fast``,
+    not bit-identical), so a soundness table is only reproducible
+    together with it.
     """
 
     model: str                               #: model backend name
+    engine: str                              #: sim engine of the cells
     allowed_counts: dict = field(default_factory=dict)
     cells: list = field(default_factory=list)
     sim_stats: dict = field(default_factory=dict)
@@ -217,10 +223,11 @@ class ConformanceReport:
     def summary(self):
         weak = sum(1 for cell in self.cells if cell.observations)
         return ("soundness vs %s: %d tests x %d chips = %d cells, "
-                "%d weak, %d violations, %d cached, %d iterations"
+                "%d weak, %d violations, %d cached, %d iterations on the "
+                "%s engine"
                 % (self.model, len(self.allowed_counts), len(self.chips),
                    len(self.cells), weak, len(self.violations),
-                   self.cached_cells, self.total_iterations))
+                   self.cached_cells, self.total_iterations, self.engine))
 
 
 def uniquify_tests(tests):
@@ -274,11 +281,15 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
     once); names must be corpus-unique (see :func:`uniquify_tests`).
     ``model`` names the axiomatic reference (``"ptx"`` is the paper's).
     Sim cells use ``incantations``/``iterations``/``seed``/``engine``
-    exactly like :meth:`Session.campaign` (``engine`` matters only for
-    wall-clock: both engines yield bit-identical observations), and
-    ``model_engine`` picks the model-checking engine the same way
-    (``"fast"``, the default, makes longer diy corpora — length 6 and
-    up — enumerable within a campaign's budget).
+    exactly like :meth:`Session.campaign`.  ``engine=None`` takes the
+    sim session's engine, else the resolved default (``batch`` when
+    numpy is importable, ``fast`` otherwise).  ``fast`` and
+    ``reference`` yield bit-identical observations; ``batch`` is
+    distribution-equivalent, so its seeded histograms differ, and the
+    report records which engine produced them.  ``model_engine`` picks
+    the model-checking engine the same way (``"fast"``, the default,
+    makes longer diy corpora — length 6 and up — enumerable within a
+    campaign's budget).
 
     Example — validate a small generated corpus on two chips::
 
@@ -329,7 +340,10 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
         # per-campaign executed/cache-hit counts.
         sim_before = sim_session.stats.snapshot()
         model_before = model_session.stats.snapshot()
-        report = ConformanceReport(model=model_session.backend.name)
+        engine = resolve_engine(engine if engine is not None
+                                else sim_session.engine)
+        report = ConformanceReport(model=model_session.backend.name,
+                                   engine=engine)
         representative = chips[0]
         for chunk in chunked(tests, max(1, chunk_size)):
             # One model spec per *test* — ModelBackend's cache signature
@@ -349,8 +363,7 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
                 report.add_test(test.name, len(allowed[test.name]))
             sim_specs = matrix(chunk, chips, incantations=incantations,
                                iterations=iterations, seed=seed,
-                               engine=(engine if engine is not None
-                                       else sim_session.engine))
+                               engine=engine)
             for result in sim_session.run_specs(sim_specs):
                 cell = _join_cell(result, allowed[result.test.name])
                 report.add_cell(cell)

@@ -142,11 +142,13 @@ class Session:
         conformance pipeline — share one worker pool.
     engine:
         Default simulation engine for specs this session builds:
-        ``"fast"`` (compiled cells, the default) or ``"reference"``
-        (the generic interpreter) — bit-identical histograms either
-        way.  ``None`` defers to the ``REPRO_ENGINE`` environment
-        variable; a prepared :class:`RunSpec` always keeps its own
-        ``engine``.
+        ``"batch"`` (numpy lockstep shards, distribution-equivalent
+        histograms), ``"fast"`` (compiled cells, the bit-reproducible
+        reference stream) or ``"reference"`` (the generic interpreter,
+        bit-identical to ``fast``).  ``None`` defers to the
+        ``REPRO_ENGINE`` environment variable, then to ``batch`` when
+        numpy is importable and ``fast`` otherwise; a prepared
+        :class:`RunSpec` always keeps its own ``engine``.
     model_engine:
         The model-checking twin of ``engine`` for specs this session
         builds: ``"fast"`` (compiled model + pruned enumeration, the

@@ -90,10 +90,11 @@ class Grid:
     """A compiled grid: one kernel per thread, ready to launch.
 
     ``engine`` picks the execution engine (``None`` defers to
-    ``REPRO_ENGINE``, default ``fast``); ``reference`` and ``fast``
-    results are bit-identical for the same seed, ``batch`` results are
-    deterministic in the seed but follow the batch RNG-stream contract
-    (distribution-equivalent histograms).
+    :func:`~repro.sim.engine.resolve_engine`: ``REPRO_ENGINE``, else
+    ``batch`` when numpy is importable and ``fast`` otherwise);
+    ``reference`` and ``fast`` results are bit-identical for the same
+    seed, ``batch`` results are deterministic in the seed but follow the
+    batch RNG-stream contract (distribution-equivalent histograms).
     """
 
     def __init__(self, kernels, chip, init_mem, placement="inter-cta",
@@ -123,10 +124,10 @@ class Grid:
     def launch_many(self, runs, seed=0):
         """Run the grid ``runs`` times; yields LaunchResults.
 
-        One ``Random(seed)`` stream drives all runs in sequence — the
-        same stream :meth:`launch_batch` (and a single-shard app
-        campaign) consumes, so per-run inspection and batched counting
-        agree bit for bit.
+        One ``Random(seed)`` stream drives all runs in sequence — on the
+        ``fast`` and ``reference`` engines the same stream
+        :meth:`launch_batch` (and a single-shard app campaign) consumes,
+        so per-run inspection and batched counting agree bit for bit.
         """
         rng = random.Random(seed)
         for _ in range(runs):

@@ -96,7 +96,7 @@ from .model.dot import weak_witness_dot
 from .model.models import (DEFAULT_MODEL_ENGINE, MODELS, MODEL_ENGINES,
                            load_model)
 from .sim.chip import CHIPS, RESULT_CHIPS
-from .sim.engine import DEFAULT_ENGINE, ENGINES
+from .sim.engine import ENGINES, resolve_engine
 
 
 def _load_test(spec):
@@ -127,16 +127,16 @@ def _session(args):
 
 def _engine_argument(parser):
     parser.add_argument("--engine", default=None, choices=ENGINES,
-                        help="simulation engine: fast (compiled cells, "
-                             "the default; bit-identical to reference "
-                             "and several times quicker), reference "
-                             "(the generic interpreter), or batch "
-                             "(numpy lockstep shards, another order of "
-                             "magnitude quicker; distribution-"
-                             "equivalent histograms, needs the "
-                             "repro[batch] extra) — tracked speedups "
-                             "live in BENCH_engine.json; REPRO_ENGINE "
-                             "sets the default")
+                        help="simulation engine: batch (numpy lockstep "
+                             "shards, the default when numpy is "
+                             "installed; distribution-equivalent "
+                             "histograms), fast (compiled cells, the "
+                             "default without numpy; the bit-"
+                             "reproducible reference stream, "
+                             "bit-identical to reference), or reference "
+                             "(the generic interpreter) — tracked "
+                             "speedups live in BENCH_engine.json; "
+                             "REPRO_ENGINE sets the default")
 
 
 def _model_engine_argument(parser):
@@ -416,13 +416,16 @@ def _cmd_analyze(args):
 
 
 def _cmd_list(args):
+    try:
+        engine = resolve_engine(None)
+    except ReproError as error:
+        raise SystemExit(str(error))
     print("library tests:")
     for name in sorted(library.PAPER_TESTS):
         print("  %s" % name)
     print("chips: %s" % ", ".join(sorted(CHIPS)))
     print("models: %s" % ", ".join(sorted(MODELS)))
-    print("sim engines: %s (default %s)" % (", ".join(ENGINES),
-                                            DEFAULT_ENGINE))
+    print("sim engines: %s (default %s)" % (", ".join(ENGINES), engine))
     print("model engines: %s (default %s)" % (", ".join(MODEL_ENGINES),
                                               DEFAULT_MODEL_ENGINE))
     print("app scenarios (x = published, +fenced = the paper's fix):")

@@ -14,11 +14,14 @@ sessions (no cache, one worker) and repackage the results in the legacy
 :class:`RunResult` shape.  For campaigns, prefer the session API — it
 is the same engine with the knobs exposed.
 
-Determinism note: up to one shard of iterations
-(:data:`repro.api.DEFAULT_SHARD_SIZE`, 25000) the wrappers reproduce
-the pre-1.1 single-RNG-stream histograms bit for bit for a given seed.
-Beyond that, iterations run in deterministically seeded shards: still
-fully reproducible for the same seed, but not the legacy stream.
+Determinism note: every run is reproducible for the same seed and
+engine.  With ``engine="fast"`` (or ``"reference"``), up to one shard
+of iterations (:data:`repro.api.DEFAULT_SHARD_SIZE`, 25000) the
+wrappers reproduce the pre-1.1 single-RNG-stream histograms bit for
+bit; beyond that, iterations run in deterministically seeded shards,
+not the legacy stream.  The default engine is ``batch`` when numpy is
+importable, whose histograms are distribution-equivalent to that
+stream but not identical.
 """
 
 from dataclasses import dataclass
@@ -98,7 +101,8 @@ def run_litmus(test, chip, incantations=None, iterations=None, seed=0,
     Nvidia chips.  Pass ``session`` to reuse a configured
     :class:`repro.api.Session` (workers, cache) for many calls, and
     ``engine`` to pick the simulation engine (``"fast"``/``"reference"``,
-    bit-identical histograms).
+    bit-identical histograms, or ``"batch"``; ``None`` takes
+    :func:`~repro.sim.engine.resolve_engine`'s default).
     """
     from ..api import RunSpec
 

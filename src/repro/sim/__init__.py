@@ -17,14 +17,16 @@ Three engines execute litmus iterations:
 Pick one per run via :func:`run_iterations`'s ``engine`` argument, the
 ``engine`` field of :class:`repro.api.RunSpec`, or the CLI's
 ``--engine``; :func:`~repro.sim.engine.resolve_engine` applies the
-``REPRO_ENGINE`` environment default.
+``REPRO_ENGINE`` environment variable and otherwise
+:func:`~repro.sim.engine.default_engine`: ``batch`` when numpy is
+importable, ``fast`` without it.
 """
 
 from .batch import BatchCell, compile_batch_cell, have_numpy
 from .chip import (AMD_RESULT_CHIPS, CHIPS, ChipProfile,
                    NVIDIA_RESULT_CHIPS, RESULT_CHIPS, chip)
 from .compile import CompiledCell, compile_cell
-from .engine import (DEFAULT_ENGINE, ENGINES, PendingOp, ThreadEngine,
+from .engine import (ENGINES, PendingOp, ThreadEngine, default_engine,
                      resolve_engine, run_batch)
 from .machine import GpuMachine, run_iterations
 from .memory import MemorySystem
@@ -34,7 +36,7 @@ __all__ = [
     "RESULT_CHIPS", "chip",
     "BatchCell", "compile_batch_cell", "have_numpy",
     "CompiledCell", "compile_cell",
-    "DEFAULT_ENGINE", "ENGINES", "PendingOp", "ThreadEngine",
+    "ENGINES", "PendingOp", "ThreadEngine", "default_engine",
     "resolve_engine", "run_batch",
     "GpuMachine", "run_iterations",
     "MemorySystem",

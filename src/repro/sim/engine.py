@@ -37,18 +37,23 @@ LOAD, STORE, FENCE, CAS, EXCH, FETCH_ADD = "R", "W", "F", "CAS", "EXCH", "ADD"
 #: dependency.
 ENGINES = ("reference", "fast", "batch")
 
-#: Engine used when nothing picks one explicitly (overridable per run
-#: via ``RunSpec``/``Session``/``--engine`` or globally via the
-#: ``REPRO_ENGINE`` environment variable).
-DEFAULT_ENGINE = "fast"
+
+def default_engine():
+    """Engine used when nothing picks one explicitly: ``batch`` when
+    numpy is importable, ``fast`` otherwise (``fast`` stays the
+    bit-reproducible reference stream — name it to get that stream).
+    Overridable per run via ``RunSpec``/``Session``/``--engine`` or
+    globally via the ``REPRO_ENGINE`` environment variable."""
+    from .batch import have_numpy
+    return "batch" if have_numpy() else "fast"
 
 
 def resolve_engine(engine):
     """Normalise an engine choice: ``None`` means the environment's
-    ``REPRO_ENGINE`` (default ``fast``); anything else must name one of
-    :data:`ENGINES`."""
+    ``REPRO_ENGINE`` (default :func:`default_engine`); anything else
+    must name one of :data:`ENGINES`."""
     from .._util import resolve_choice
-    return resolve_choice(engine, "REPRO_ENGINE", ENGINES, DEFAULT_ENGINE,
+    return resolve_choice(engine, "REPRO_ENGINE", ENGINES, default_engine(),
                           "engine")
 
 

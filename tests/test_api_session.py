@@ -236,11 +236,16 @@ class TestCaching:
     def test_corrupt_disk_entry_degrades_to_miss(self, tmp_path):
         session = Session(cache_dir=str(tmp_path))
         session.run(spec_for())
-        for path in tmp_path.iterdir():
+        entries = list(tmp_path.glob("*.json"))
+        assert entries
+        # Result entries and, under the batch engine, the lowering plans
+        # stored next to them in plans/.
+        for path in entries + list(tmp_path.glob("plans/*.plan")):
             path.write_text("{ not json")
         cold = Session(cache_dir=str(tmp_path))
         result = cold.run(spec_for())
         assert cold.stats.executed == 1
+        assert cold.stats.plan_cache_hits == 0
         assert not result.cached
 
     def test_shared_cache_instance_across_sessions(self):

@@ -10,6 +10,7 @@ from repro.cli import main
 from repro.errors import ReproError
 from repro.litmus import library
 from repro.litmus.condition import FinalState
+from repro.sim import resolve_engine
 
 
 def _tests(*names):
@@ -112,7 +113,7 @@ class TestConformanceReport:
             distinct_states=4, cached=False, violations=tuple(violations))
 
     def test_coverage_by_chip_and_incantations(self):
-        report = ConformanceReport(model="model:ptx")
+        report = ConformanceReport(model="model:ptx", engine="fast")
         report.add_test("mp", 4)
         report.add_cell(self._cell(chip="Titan"))
         report.add_cell(self._cell(chip="GTX6", observations=0))
@@ -125,7 +126,7 @@ class TestConformanceReport:
 
     def test_summary_table_elides_sound_rows_but_keeps_violations(self):
         state = FinalState.make({(0, "r1"): 1}, {"x": 1})
-        report = ConformanceReport(model="model:ptx")
+        report = ConformanceReport(model="model:ptx", engine="fast")
         for index in range(6):
             name = "t%d" % index
             report.add_test(name, 2)
@@ -141,10 +142,11 @@ class TestConformanceReport:
         assert "elided" in table
 
     def test_summary_counts(self):
-        report = ConformanceReport(model="model:ptx")
+        report = ConformanceReport(model="model:ptx", engine="fast")
         report.add_test("mp", 4)
         report.add_cell(self._cell())
         assert "1 tests x 1 chips" in report.summary()
+        assert report.summary().endswith("1000 iterations on the fast engine")
         assert report.total_iterations == 1000
 
 
@@ -195,6 +197,7 @@ class TestSoundnessCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "soundness vs model:ptx" in out
+        assert "on the %s engine" % resolve_engine(None) in out
         assert "0 violations" in out
         assert "model session:" in out
 

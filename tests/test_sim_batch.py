@@ -28,8 +28,8 @@ from repro.litmus import library
 from repro.model.models import MODEL_ENGINES, resolve_model_engine
 from repro.perf import tvd, tvd_envelope
 from repro.sim import (CHIPS, ENGINES, BatchCell, compile_batch_cell,
-                       compile_cell, have_numpy, resolve_engine, run_batch,
-                       run_iterations)
+                       compile_cell, default_engine, have_numpy,
+                       resolve_engine, run_batch, run_iterations)
 
 requires_numpy = pytest.mark.skipif(not have_numpy(),
                                     reason="numpy not installed")
@@ -249,7 +249,7 @@ class TestResolveChoicePrecedence:
     """The two-source engine-switch idiom, for all engine knobs."""
 
     KNOBS = (
-        (resolve_engine, "REPRO_ENGINE", ENGINES, "fast"),
+        (resolve_engine, "REPRO_ENGINE", ENGINES, default_engine()),
         (resolve_model_engine, "REPRO_MODEL_ENGINE", MODEL_ENGINES,
          "fast"),
     )

@@ -11,21 +11,26 @@ shard decompositions, and pin down the engine switch's plumbing through
 ``RunSpec``/``SimBackend``/``Session``/CLI.
 """
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import RunSpec, Session, SimBackend, plan_shards
+import repro.sim.batch as batch_module
+from repro.api import (RunSpec, Session, SimBackend, plan_shards,
+                       run_soundness)
 from repro.api.backends import DEFAULT_SHARD_SIZE
+from repro.apps import run_app_campaign
 from repro.diy import default_pool, generate_tests
 from repro.errors import ConfigurationError, ReproError
+from repro.harness import run_litmus
 from repro.harness.histogram import Histogram
 from repro.harness.incantations import Incantations, efficacy
 from repro.litmus import library
-from repro.sim import (CHIPS, DEFAULT_ENGINE, ENGINES, GpuMachine,
-                       RESULT_CHIPS, compile_cell, resolve_engine,
-                       run_batch, run_iterations)
+from repro.sim import (CHIPS, ENGINES, GpuMachine, RESULT_CHIPS,
+                       compile_cell, default_engine, have_numpy,
+                       resolve_engine, run_batch, run_iterations)
 
 LIBRARY_TESTS = sorted(library.PAPER_TESTS)
 ALL_CHIPS = list(RESULT_CHIPS) + ["GTX280"]
@@ -130,10 +135,51 @@ class TestBitIdentity:
 
 
 class TestEngineSwitch:
-    def test_default_engine_is_fast(self):
-        assert DEFAULT_ENGINE == "fast"
+    @pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
+    def test_default_engine_is_batch_with_numpy(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert default_engine() == "batch"
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=10)
+        assert spec.engine == "batch"
+
+    def test_default_engine_is_fast_without_numpy(self, monkeypatch):
+        """Without numpy every default sim workflow falls back to the
+        fast engine instead of raising a ConfigurationError."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.setattr(batch_module, "np", None)
+        assert default_engine() == "fast"
+        test = library.build("mp")
+        assert RunSpec.make(test, "Titan", iterations=10).engine == "fast"
+        result = Session(cache=False).run(test, "Titan", iterations=20)
+        assert result.spec.engine == "fast"
+        assert run_litmus(test, "Titan", iterations=20).histogram.total == 20
+        assert sum(run_iterations(test, CHIPS["Titan"], 20).values()) == 20
+        campaign = run_app_campaign(["dot-cbe"], ["Titan"], runs=20)
+        assert all(result.spec.engine == "fast"
+                   for result in campaign.results.values())
+        tests = generate_tests(default_pool(), max_length=3, max_tests=4)
+        report = run_soundness(tests, ["Titan", "GTX6"], iterations=50,
+                               cache=False)
+        assert report.engine == "fast"
+        assert len(report) == 8
+        assert report.ok
+
+    def test_fast_overrides_the_default(self, monkeypatch):
+        test = library.build("mp")
+        monkeypatch.setenv("REPRO_ENGINE", "fast")
+        assert resolve_engine(None) == "fast"
+        assert RunSpec.make(test, "Titan", iterations=10).engine == "fast"
+        result = Session(cache=False).run(test, "Titan", iterations=10)
+        assert result.spec.engine == "fast"
+        monkeypatch.delenv("REPRO_ENGINE")
+        spec = RunSpec.make(test, "Titan", iterations=10, engine="fast")
         assert spec.engine == "fast"
+        result = Session(engine="fast", cache=False).run(test, "Titan",
+                                                         iterations=10)
+        assert result.spec.engine == "fast"
+        report = run_soundness([test], ["Titan"], iterations=50,
+                               cache=False, engine="fast")
+        assert report.engine == "fast"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "reference")
@@ -219,6 +265,31 @@ class TestEngineSwitch:
         assert args.engine == "fast"
         args = parser.parse_args(["campaign", "mp"])
         assert args.engine is None  # defer to REPRO_ENGINE / default
+
+
+class TestFastStreamGolden:
+    """``fast`` is the bit-reproducible reference stream: the pinned
+    Sec. 5.4 sweep CI runs (40 diy tests x 4 chips x 300 iterations,
+    seed 17) must print exactly these bytes on it.  The hash was taken
+    when ``fast`` was still the default engine, from that release's
+    stdout plus the summary line's engine suffix."""
+
+    SUMMARY = ("soundness vs model:ptx: 40 tests x 4 chips = 160 cells, "
+               "36 weak, 0 violations, 0 cached, 48000 iterations on the "
+               "fast engine")
+    SHA256 = ("631cce0696f1d607ae7fa55cd085b9fe"
+              "8777d4a02a7d626e64c5564d9702a41d")
+
+    def test_pinned_soundness_sweep(self, capsys):
+        from repro.cli import main
+
+        code = main(["soundness", "--max-tests", "40", "--jobs", "2",
+                     "--iterations", "300", "--seed", "17",
+                     "--engine", "fast"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert self.SUMMARY in out.splitlines()
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256
 
 
 class TestRunBatch:
