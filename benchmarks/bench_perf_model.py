@@ -25,7 +25,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.errors import ReproError  # noqa: E402
-from repro.perf import (bench_model_engines, model_corpus_by_name,  # noqa: E402
+from repro.perf import (bench_models, model_corpus_by_name,  # noqa: E402
                         render_model_table, summarize_model,
                         write_model_report)
 
@@ -56,8 +56,8 @@ def main(argv=None):
 
     try:
         corpus = model_corpus_by_name(args.corpus)
-        cells = bench_model_engines(corpus, model=args.model,
-                                    repeats=args.repeats)
+        cells = bench_models(corpus, model=args.model,
+                             repeats=args.repeats)
     except ReproError as error:
         raise SystemExit(str(error))
     summary = summarize_model(cells)

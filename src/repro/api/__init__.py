@@ -17,9 +17,9 @@ Quick tour::
 
     # The simulation engine is switchable per session, per call or per
     # spec ("batch" numpy lockstep shards by default when numpy is
-    # importable, else "fast" compiled cells; "fast" and the generic
-    # "reference" interpreter give bit-identical histograms).
-    slow = Session(engine="reference")
+    # importable, else "fast" compiled cells, the bit-reproducible
+    # stream).
+    exact = Session(engine="fast")
 
     campaign = session.campaign(
         [library.build(name) for name in ("mp", "lb", "sb")],
@@ -43,8 +43,7 @@ from .cache import ResultCache, cache_key
 from .conformance import (CellConformance, ConformanceReport, Violation,
                           run_soundness, uniquify_tests)
 from .result import CampaignResult, SpecResult
-from .session import (DEFAULT_CHUNK_SIZE, Session, SessionStats,
-                      run_campaign)
+from .session import DEFAULT_CHUNK_SIZE, Session, SessionStats
 from .spec import (BEST, RunSpec, matrix, parse_incantations,
                    resolve_chip, resolve_incantations)
 
@@ -55,7 +54,7 @@ __all__ = [
     "CellConformance", "ConformanceReport", "Violation", "run_soundness",
     "uniquify_tests",
     "CampaignResult", "SpecResult",
-    "DEFAULT_CHUNK_SIZE", "Session", "SessionStats", "run_campaign",
+    "DEFAULT_CHUNK_SIZE", "Session", "SessionStats",
     "BEST", "RunSpec", "matrix", "parse_incantations", "resolve_chip",
     "resolve_incantations",
 ]

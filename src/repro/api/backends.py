@@ -6,14 +6,13 @@ typed subclass it names as :attr:`Backend.result_type` (the exhaustive
 and analysis backends).  Two implementations ship here:
 
 * :class:`SimBackend` — "run it on silicon": executes the spec on the
-  operational GPU simulator, iteration by iteration, on the engine the
-  spec names (``fast``: a memoised
-  :class:`~repro.sim.compile.CompiledCell`; ``reference``:
-  :class:`~repro.sim.machine.GpuMachine` — bit-identical histograms
-  either way).  Supports *sharding*: a spec's iterations are split into
-  fixed-size shards, each with a deterministic seed, so a pool can run
-  them in parallel and merge the histograms bit-identically to the
-  serial order.
+  operational GPU simulator on the engine the spec names (``fast``: a
+  memoised :class:`~repro.sim.compile.CompiledCell`, iteration by
+  iteration; ``batch``: a memoised :class:`~repro.sim.batch.BatchCell`,
+  one lockstep batch per shard).  Supports *sharding*: a spec's
+  iterations are split into fixed-size shards, each with a
+  deterministic seed, so a pool can run them in parallel and merge the
+  histograms bit-identically to the serial order.
 * :class:`ModelBackend` — "check it against the model": enumerates the
   candidate executions of an axiomatic model
   (:mod:`repro.model.models`) and returns the *allowed* final states as
@@ -40,7 +39,6 @@ from ..model.models import MODELS, load_model
 from ..sim.batch import compile_batch_cell
 from ..sim.compile import compile_cell
 from ..sim.engine import run_batch
-from ..sim.machine import GpuMachine
 
 #: Default iterations per shard.  Small campaign cells (every tier-1
 #: test and the CI-sized benchmarks) fit in one shard and therefore
@@ -169,17 +167,21 @@ class SimBackend(Backend):
     :func:`repro.sim.batch.compile_batch_cell` into numpy
     structure-of-arrays kernels executing each shard as one lockstep
     batch (same memo discipline — batch cells hold numpy buffers and
-    closures and do not pickle either); ``"reference"`` interprets
-    through :class:`~repro.sim.machine.GpuMachine`.  ``reference`` and
-    ``fast`` produce bit-identical histograms for the same shard seeds;
-    ``batch`` is distribution-equivalent under a documented seeded
-    stream-break (see :mod:`repro.sim.batch`).  The cache signature
-    keeps all three apart (see :meth:`cache_signature`).
+    closures and do not pickle either).  ``fast`` produces histograms
+    bit-identical to the :class:`~repro.sim.machine.GpuMachine`
+    interpreter for the same shard seeds; ``batch`` is
+    distribution-equivalent under a documented seeded stream-break
+    (see :mod:`repro.sim.batch`).  The cache signature keeps the two
+    apart (see :meth:`cache_signature`).
 
     Subclasses running other spec kinds (the app backend) override
     :meth:`_lowering` — the intensity and placement-shuffle flag a
     cell lowers with — and :meth:`run_shard`; the memo, plan cache and
-    engine dispatch are shared.
+    engine dispatch are shared.  :meth:`_machine` is the one place a
+    cell becomes something answering ``run_once``/``run_many``, so a
+    subclass overriding it alone (say, one interpreting through
+    :class:`~repro.sim.machine.GpuMachine` for a parity check) reuses
+    the shard planner, the session and the cache unchanged.
     """
 
     name = "sim"
@@ -249,15 +251,12 @@ class SimBackend(Backend):
 
     def _machine(self, spec):
         intensity, shuffle = self._lowering(spec)
-        if spec.engine == "reference":
-            return GpuMachine(spec.test, spec.chip, intensity=intensity,
-                              shuffle_placement=shuffle)
         cells = getattr(self._local, "cells", None)
         if cells is None:
             cells = self._local.cells = {}
         # Key on exactly what the lowering receives, so iteration/seed
         # variants of one cell share a single compilation (and the two
-        # compiling engines never share one).
+        # engines never share one).
         content = (write_litmus(spec.test), repr(spec.chip), intensity,
                    shuffle)
         key = (spec.engine,) + content
@@ -317,12 +316,8 @@ class ModelBackend(Backend):
     not statistical).  ``SpecResult.observations > 0`` therefore reads
     as the paper's Allowed verdict for the test's condition.
 
-    ``spec.model_engine`` picks the checking engine per cell:
-    ``"fast"`` compiles the model once and prunes the enumeration with
-    its monotone checks (:func:`repro.model.enumerate.enumerate_allowed`);
-    ``"reference"`` materialises every candidate execution.  Identical
-    allowed sets either way, kept apart in the cache (see
-    :meth:`cache_signature`).
+    The model is compiled once and the enumeration pruned with its
+    monotone checks (``AxiomaticModel.allowed_outcomes``).
 
     *Sharding.*  A verdict is one indivisible enumeration, so each spec
     is its own shard: a campaign's test list spreads across the worker
@@ -337,14 +332,11 @@ class ModelBackend(Backend):
         self.max_executions = max_executions
 
     def cache_signature(self, spec):
-        """Verdicts depend only on the test text, the enumeration fuel
-        and the model engine — not chip, iterations or seed — so a
-        campaign across the seven result chips enumerates each test
-        once, not seven times.  The engine is part of the signature for
-        the same reason as the sim backend's: a cached reference
-        verdict must never mask a fast-engine divergence."""
-        payload = "%s\x1e fuel=%d\x1e engine=%s" % (
-            write_litmus(spec.test), self.fuel, spec.model_engine)
+        """Verdicts depend only on the test text and the enumeration
+        fuel — not chip, iterations, seed or sim engine — so a campaign
+        across the seven result chips enumerates each test once, not
+        seven times."""
+        payload = "%s\x1e fuel=%d" % (write_litmus(spec.test), self.fuel)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def shards(self, spec, shard_size):
@@ -361,7 +353,7 @@ class ModelBackend(Backend):
         # silent sampler.
         allowed = self.model.allowed_outcomes(
             spec.test, fuel=self.fuel, max_executions=self.max_executions,
-            on_limit="error", engine=spec.model_engine)
+            on_limit="error")
         histogram = Histogram()
         for state in allowed:
             histogram.add(state)

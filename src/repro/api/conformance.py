@@ -273,7 +273,7 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
                   iterations=None, seed=0, jobs=1, executor="thread",
                   cache=True, cache_dir=None, chunk_size=DEFAULT_CHUNK_SIZE,
                   fuel=128, sim_session=None, model_session=None,
-                  progress=None, engine=None, model_engine=None):
+                  progress=None, engine=None):
     """Run the Sec. 5.4 conformance campaign over ``tests`` x ``chips``.
 
     ``tests`` is any iterable of litmus tests (a generator streams —
@@ -283,13 +283,10 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
     Sim cells use ``incantations``/``iterations``/``seed``/``engine``
     exactly like :meth:`Session.campaign`.  ``engine=None`` takes the
     sim session's engine, else the resolved default (``batch`` when
-    numpy is importable, ``fast`` otherwise).  ``fast`` and
-    ``reference`` yield bit-identical observations; ``batch`` is
+    numpy is importable, ``fast`` otherwise).  ``fast`` yields the
+    bit-reproducible observations; ``batch`` is
     distribution-equivalent, so its seeded histograms differ, and the
-    report records which engine produced them.  ``model_engine`` picks
-    the model-checking engine the same way (``"fast"``, the default,
-    makes longer diy corpora — length 6 and up — enumerable within a
-    campaign's budget).
+    report records which engine produced them.
 
     Example — validate a small generated corpus on two chips::
 
@@ -333,8 +330,7 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
             model_session = Session(
                 backend=ModelBackend(model, fuel=fuel), jobs=jobs,
                 executor=executor, cache=shared_cache,
-                cache_dir=cache_dir, pool=own_pool,
-                model_engine=model_engine)
+                cache_dir=cache_dir, pool=own_pool)
         # Stats are reported as this campaign's delta, so reusing a
         # long-lived session (the benchmarks' shared one) still yields
         # per-campaign executed/cache-hit counts.
@@ -351,10 +347,7 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
             # unit — and a sim spec per (test, chip) cell.
             model_specs = [
                 RunSpec.make(test, representative, incantations=None,
-                             iterations=1, seed=0,
-                             model_engine=(model_engine
-                                           if model_engine is not None
-                                           else model_session.model_engine))
+                             iterations=1, seed=0)
                 for test in chunk]
             allowed = {}
             for test, result in zip(chunk,

@@ -8,8 +8,8 @@ A session is the single front door for campaign execution.  It owns
 * an optional :class:`~repro.api.cache.ResultCache`.
 
 ``Session.run`` executes one cell; ``Session.run_specs`` executes any
-plan; ``Session.campaign`` plans the cartesian product (the old
-``run_matrix`` grid) and returns a
+plan; ``Session.campaign`` plans the test x chip cartesian product and
+returns a
 :class:`~repro.api.result.CampaignResult`.
 
 Determinism.  The shard decomposition and per-shard seeds are pure
@@ -143,17 +143,11 @@ class Session:
     engine:
         Default simulation engine for specs this session builds:
         ``"batch"`` (numpy lockstep shards, distribution-equivalent
-        histograms), ``"fast"`` (compiled cells, the bit-reproducible
-        reference stream) or ``"reference"`` (the generic interpreter,
-        bit-identical to ``fast``).  ``None`` defers to the
-        ``REPRO_ENGINE`` environment variable, then to ``batch`` when
-        numpy is importable and ``fast`` otherwise; a prepared
-        :class:`RunSpec` always keeps its own ``engine``.
-    model_engine:
-        The model-checking twin of ``engine`` for specs this session
-        builds: ``"fast"`` (compiled model + pruned enumeration, the
-        default) or ``"reference"``.  ``None`` defers to
-        ``REPRO_MODEL_ENGINE``.
+        histograms) or ``"fast"`` (compiled cells, the bit-reproducible
+        stream).  ``None`` defers to the ``REPRO_ENGINE`` environment
+        variable, then to ``batch`` when numpy is importable and
+        ``fast`` otherwise; a prepared :class:`RunSpec` always keeps
+        its own ``engine``.
 
     Example::
 
@@ -165,7 +159,7 @@ class Session:
 
     def __init__(self, backend="sim", jobs=1, cache=True, cache_dir=None,
                  shard_size=DEFAULT_SHARD_SIZE, executor="thread", pool=None,
-                 engine=None, model_engine=None):
+                 engine=None):
         self.backend = make_backend(backend)
         if jobs < 1:
             raise ReproError("jobs must be >= 1, got %r" % jobs)
@@ -182,10 +176,6 @@ class Session:
             from ..sim.engine import resolve_engine
             engine = resolve_engine(engine)
         self.engine = engine
-        if model_engine is not None:
-            from ..model.models import resolve_model_engine
-            model_engine = resolve_model_engine(model_engine)
-        self.model_engine = model_engine
         if isinstance(cache, ResultCache):
             self.cache = cache
         elif cache_dir or cache:
@@ -204,7 +194,7 @@ class Session:
     # -- public API -------------------------------------------------------
 
     def run(self, test, chip=None, incantations=BEST, iterations=None,
-            seed=0, engine=None, model_engine=None):
+            seed=0, engine=None):
         """Execute one cell; accepts a prepared :class:`RunSpec` or the
         (test, chip, ...) fields of one.
 
@@ -224,8 +214,7 @@ class Session:
                                  "RunSpec")
             spec = RunSpec.make(test, chip, incantations=incantations,
                                 iterations=iterations, seed=seed,
-                                engine=self._engine(engine),
-                                model_engine=self._model_engine(model_engine))
+                                engine=self._engine(engine))
         return self.run_specs([spec])[0]
 
     def run_specs(self, specs):
@@ -271,19 +260,18 @@ class Session:
         return [results[index] for index in range(len(specs))]
 
     def campaign(self, tests, chips, incantations=BEST, iterations=None,
-                 seed=0, engine=None, model_engine=None):
+                 seed=0, engine=None):
         """Plan and execute the cartesian product campaign."""
         specs = matrix(tests, chips, incantations=incantations,
                        iterations=iterations, seed=seed,
-                       engine=self._engine(engine),
-                       model_engine=self._model_engine(model_engine))
+                       engine=self._engine(engine))
         campaign = CampaignResult()
         for result in self.run_specs(specs):
             campaign.add(result)
         return campaign
 
     def plan(self, tests, chips, incantations=BEST, iterations=None, seed=0,
-             engine=None, model_engine=None):
+             engine=None):
         """Lazily yield the cartesian-product plan of :meth:`campaign`.
 
         The generator twin of :func:`~repro.api.spec.matrix`: ``tests``
@@ -294,12 +282,11 @@ class Session:
         """
         chips = list(chips)
         engine = self._engine(engine)
-        model_engine = self._model_engine(model_engine)
         for test in tests:
             for chip in chips:
                 yield RunSpec.make(test, chip, incantations=incantations,
                                    iterations=iterations, seed=seed,
-                                   engine=engine, model_engine=model_engine)
+                                   engine=engine)
 
     def run_stream(self, specs, chunk_size=DEFAULT_CHUNK_SIZE):
         """Execute a plan in chunks; yields results in plan order.
@@ -319,16 +306,10 @@ class Session:
             for result in self.run_specs(chunk):
                 yield result
 
-    #: Backwards-friendly alias mirroring the old harness name.
-    run_matrix = campaign
-
     def _engine(self, engine):
         """Per-call engine override, else the session default (which may
         itself be ``None`` = environment default)."""
         return engine if engine is not None else self.engine
-
-    def _model_engine(self, model_engine):
-        return model_engine if model_engine is not None else self.model_engine
 
     # -- execution strategies ---------------------------------------------
 
@@ -408,12 +389,3 @@ class Session:
                            signature=self.backend.cache_signature(result.spec),
                            variant=self._variant(result.spec))
 
-
-def run_campaign(tests, chips, incantations=BEST, iterations=None, seed=0,
-                 backend="sim", jobs=1, cache_dir=None, engine=None,
-                 model_engine=None):
-    """One-shot convenience: build a Session, run the campaign."""
-    session = Session(backend=backend, jobs=jobs, cache_dir=cache_dir,
-                      engine=engine, model_engine=model_engine)
-    return session.campaign(tests, chips, incantations=incantations,
-                            iterations=iterations, seed=seed)

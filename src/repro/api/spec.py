@@ -17,7 +17,6 @@ from ..errors import ReproError
 from ..harness.incantations import Incantations, best_for
 from ..litmus import library
 from ..litmus.writer import write_litmus
-from ..model.models import resolve_model_engine
 from ..sim.chip import CHIPS, ChipProfile
 from ..sim.engine import resolve_engine
 
@@ -131,46 +130,34 @@ class RunSpec:
     iterations: int
     seed: int = 0
     #: Simulation engine for sim backends: ``"fast"`` (the compiled
-    #: cells of :mod:`repro.sim.compile`), ``"batch"`` (the numpy
-    #: lockstep lowering of :mod:`repro.sim.batch`) or ``"reference"``
-    #: (the generic interpreter).  ``reference``/``fast`` are
-    #: bit-identical by property-tested contract and ``batch`` is
-    #: distribution-equivalent under a documented seeded stream-break,
-    #: so the engine is *not* part of the content fingerprint (and
-    #: therefore never perturbs shard seeds) — but it *is* part of the
-    #: sim backend's cache signature, so cached histograms never cross
-    #: engines (a cached reference result must not mask a fast-engine
-    #: bug, and a batch histogram must never satisfy a bit-exact
-    #: fast/reference request).
+    #: cells of :mod:`repro.sim.compile`, bit-identical to the
+    #: :class:`~repro.sim.machine.GpuMachine` interpreter by
+    #: property-tested contract) or ``"batch"`` (the numpy lockstep
+    #: lowering of :mod:`repro.sim.batch`, distribution-equivalent
+    #: under a documented seeded stream-break).  The engine is *not*
+    #: part of the content fingerprint (so it never perturbs shard
+    #: seeds) — but it *is* part of the sim backend's cache signature,
+    #: so cached histograms never cross engines (a batch histogram must
+    #: never satisfy a bit-exact fast request).
     engine: str = "fast"
-    #: Model-checking engine for model backends, with the same contract
-    #: as ``engine``: ``"fast"`` (compiled model + pruned enumeration,
-    #: :func:`repro.model.enumerate.enumerate_allowed`) or
-    #: ``"reference"`` (materialise-then-check).  Excluded from the
-    #: fingerprint, included in the model backend's cache signature.
-    model_engine: str = "fast"
 
     @staticmethod
     def make(test, chip, incantations=BEST, iterations=None, seed=0,
-             engine=None, model_engine=None):
+             engine=None):
         """Build a normalised spec; ``test`` may be a library test name
         and ``chip`` a Table 1 short name.
 
         ``engine=None`` resolves through
-        :func:`repro.sim.engine.resolve_engine` (the ``REPRO_ENGINE``
-        environment variable, default ``"fast"``); ``model_engine=None``
-        likewise through
-        :func:`repro.model.models.resolve_model_engine`
-        (``REPRO_MODEL_ENGINE``, default ``"fast"``).
+        :func:`repro.sim.engine.resolve_engine`: the ``REPRO_ENGINE``
+        environment variable, else ``"batch"`` when numpy is importable
+        and ``"fast"`` otherwise.
 
         >>> from repro.litmus import library
         >>> spec = RunSpec.make(library.build("mp"), "Titan",
-        ...                     iterations=1000, seed=7)
+        ...                     iterations=1000, seed=7, engine="fast")
         >>> spec.key
         ('mp', 'Titan')
         >>> spec.engine
-        'fast'
-        >>> spec.model_engine
         'fast'
         """
         from ..harness.runner import default_iterations
@@ -185,8 +172,7 @@ class RunSpec:
             raise ReproError("iterations must be positive, got %r" % iterations)
         return RunSpec(test=test, chip=chip, incantations=incantations,
                        iterations=int(iterations), seed=int(seed),
-                       engine=resolve_engine(engine),
-                       model_engine=resolve_model_engine(model_engine))
+                       engine=resolve_engine(engine))
 
     @property
     def key(self):
@@ -199,23 +185,19 @@ class RunSpec:
     def with_engine(self, engine):
         return replace(self, engine=resolve_engine(engine))
 
-    def with_model_engine(self, model_engine):
-        return replace(self,
-                       model_engine=resolve_model_engine(model_engine))
-
     def fingerprint(self):
         """Stable content hash of this spec (hex digest).
 
         Covers the full litmus text (not just the name), the chip's
         complete profile (so recalibrated knobs invalidate old cache
         entries), the incantation column, iterations and seed.  The
-        ``engine`` and ``model_engine`` are deliberately **excluded**:
-        per-shard seeds derive from this digest, and engine-independent
-        seeding is exactly what makes the engine-equivalence contracts
-        testable (fast/reference bit-identity, batch distribution
-        equivalence on the very same shard seeds).  All
-        fields are frozen, so the digest is computed once and memoised
-        (cache lookup, store and every shard seed re-ask for it).
+        ``engine`` is deliberately **excluded**: per-shard seeds derive
+        from this digest, and engine-independent seeding is exactly what
+        makes the engine-equivalence contracts testable (fast/interpreter
+        bit-identity, batch distribution equivalence on the very same
+        shard seeds).  All fields are frozen, so the digest is computed
+        once and memoised (cache lookup, store and every shard seed
+        re-ask for it).
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is not None:
@@ -238,15 +220,13 @@ class RunSpec:
 
 
 def matrix(tests, chips, incantations=BEST, iterations=None, seed=0,
-           engine=None, model_engine=None):
+           engine=None):
     """Cartesian-product campaign plan: one :class:`RunSpec` per
-    (test, chip) cell — the planner behind ``Session.campaign`` and the
-    successor of the old ``run_matrix`` loop."""
+    (test, chip) cell — the planner behind ``Session.campaign``."""
     specs = []
     for test in tests:
         for chip in chips:
             specs.append(RunSpec.make(test, chip, incantations=incantations,
                                       iterations=iterations, seed=seed,
-                                      engine=engine,
-                                      model_engine=model_engine))
+                                      engine=engine))
     return specs

@@ -20,10 +20,10 @@ scenarios exist:
   launches), ``batch`` (the numpy lockstep lowering of
   :mod:`repro.sim.batch` — one :func:`~repro.sim.batch.compile_batch_cell`
   per cell under the same memo discipline, each shard executed as one
-  structure-of-arrays batch) or ``reference`` (the generic
-  interpreter).  ``reference``/``fast`` are bit-identical; ``batch`` is
+  structure-of-arrays batch).  ``fast`` is bit-identical to the generic
+  :class:`~repro.sim.machine.GpuMachine` interpreter; ``batch`` is
   distribution-equivalent under the documented seeded stream-break, and
-  all three are kept apart in the cache signature.
+  the two are kept apart in the cache signature.
 * **projection** — each shard's raw histogram is folded onto the
   scenario's observable locations before it leaves the backend, so the
   cache stores (and campaigns merge) the projected outcome histograms

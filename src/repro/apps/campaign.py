@@ -6,7 +6,7 @@ with an :class:`~repro.apps.backend.AppBackend`, so application
 campaigns inherit the litmus campaigns' guarantees verbatim: sharded
 parallel execution whose histograms merge bit-identically to the serial
 order, two-tier result caching keyed by content fingerprint, in-plan
-deduplication, and the fast/reference engine switch.
+deduplication, and the fast/batch engine switch.
 
 Results are ordinary :class:`~repro.api.result.SpecResult` /
 :class:`~repro.api.result.CampaignResult` values whose observation

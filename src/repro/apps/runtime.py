@@ -8,18 +8,17 @@ memory image — the GPU-side of ``cudaMemcpy`` back to the host.
 
 A :class:`Grid` compiles its kernels into a litmus-shaped
 :class:`~repro.litmus.test.LitmusTest` once and binds it to a machine on
-either simulation engine (``fast``: a
-:class:`~repro.sim.compile.CompiledCell` built once and reused across
+either simulation engine.  ``fast`` builds a
+:class:`~repro.sim.compile.CompiledCell` once and reuses it across
 launches — the spin-loop kernels of the application studies are exactly
-the shapes the compiler specialises best; ``reference``: the generic
-:class:`~repro.sim.machine.GpuMachine` interpreter).  Both those
-engines consume the ``Random`` stream identically, so
-:meth:`Grid.launch` / :meth:`Grid.launch_many` return bit-identical
-results on either — they are the RNG-stream-parity wrappers over
-:func:`~repro.sim.engine.run_batch`'s batched loop.  ``engine="batch"``
-(:mod:`repro.sim.batch`) also works here — :meth:`Grid.launch_batch`
-then executes all runs as one numpy lockstep batch, with
-distribution-equivalent (not bit-identical) outcome histograms.
+the shapes the compiler specialises best.  It consumes the ``Random``
+stream exactly like the generic :class:`~repro.sim.machine.GpuMachine`
+interpreter, so :meth:`Grid.launch` / :meth:`Grid.launch_many` are the
+RNG-stream-parity wrappers over :func:`~repro.sim.engine.run_batch`'s
+batched loop.  ``engine="batch"`` (:mod:`repro.sim.batch`) also works
+here — :meth:`Grid.launch_batch` then executes all runs as one numpy
+lockstep batch, with distribution-equivalent (not bit-identical)
+outcome histograms.
 
 Campaign-scale application runs should not loop over ``launch_many``;
 they go through :mod:`repro.apps.campaign`, which shards
@@ -38,7 +37,6 @@ from ..litmus.test import LitmusTest
 from ..sim.chip import CHIPS, ChipProfile
 from ..sim.compile import compile_cell
 from ..sim.engine import resolve_engine, run_batch
-from ..sim.machine import GpuMachine
 
 
 @dataclass
@@ -92,9 +90,10 @@ class Grid:
     ``engine`` picks the execution engine (``None`` defers to
     :func:`~repro.sim.engine.resolve_engine`: ``REPRO_ENGINE``, else
     ``batch`` when numpy is importable and ``fast`` otherwise);
-    ``reference`` and ``fast`` results are bit-identical for the same
-    seed, ``batch`` results are deterministic in the seed but follow the
-    batch RNG-stream contract (distribution-equivalent histograms).
+    ``fast`` results are bit-identical to the generic interpreter's for
+    the same seed, ``batch`` results are deterministic in the seed but
+    follow the batch RNG-stream contract (distribution-equivalent
+    histograms).
     """
 
     def __init__(self, kernels, chip, init_mem, placement="inter-cta",
@@ -105,16 +104,13 @@ class Grid:
                                       placement=placement, shared=shared,
                                       name=name)
         self.engine = resolve_engine(engine)
-        if self.engine == "fast":
-            self.machine = compile_cell(self.test, self.chip,
-                                        intensity=intensity)
-        elif self.engine == "batch":
+        if self.engine == "batch":
             from ..sim.batch import compile_batch_cell
             self.machine = compile_batch_cell(self.test, self.chip,
                                               intensity=intensity)
         else:
-            self.machine = GpuMachine(self.test, self.chip,
-                                      intensity=intensity)
+            self.machine = compile_cell(self.test, self.chip,
+                                        intensity=intensity)
 
     def launch(self, seed=0):
         """Run the grid once; returns a :class:`LaunchResult`."""
@@ -125,8 +121,8 @@ class Grid:
         """Run the grid ``runs`` times; yields LaunchResults.
 
         One ``Random(seed)`` stream drives all runs in sequence — on the
-        ``fast`` and ``reference`` engines the same stream
-        :meth:`launch_batch` (and a single-shard app campaign) consumes,
+        ``fast`` engine the same stream :meth:`launch_batch` (and a
+        single-shard app campaign) consumes,
         so per-run inspection and batched counting agree bit for bit.
         """
         rng = random.Random(seed)

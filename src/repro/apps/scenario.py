@@ -30,7 +30,8 @@ A :class:`ScenarioSpec` pins one execution cell — scenario x chip x
 runs x seed x intensity x engine — and fingerprints it, mirroring
 :class:`repro.api.spec.RunSpec`: the fingerprint drives the result
 cache and the deterministic per-shard seeds, and deliberately excludes
-the engine (fast/reference bit-identity keeps shard streams shared).
+the engine (engine-neutral shard seeds keep the fast/interpreter
+bit-identity and fast/batch distribution contracts testable).
 """
 
 import hashlib
@@ -233,7 +234,7 @@ class ScenarioSpec:
         chip's complete profile, the intensity, runs and seed.  The
         ``engine`` is deliberately excluded — per-shard seeds derive
         from this digest, and engine-independent seeding is what makes
-        the fast/reference bit-identity contract testable.
+        the engine-parity contracts testable.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is not None:

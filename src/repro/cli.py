@@ -5,7 +5,7 @@ Subcommands::
     repro-litmus run TEST --chip Titan [--iterations N] [--seed S]
                  [--incantations best|none|stress+sync+random|COLUMN]
                  [--jobs N] [--backend sim|model|model:NAME] [--cache-dir D]
-                 [--engine fast|reference|batch]
+                 [--engine fast|batch]
         Run a litmus test (library name or .litmus file) on a simulated
         chip; print the histogram.  The default incantations are the
         paper's most effective combination; ``--incantations none``
@@ -35,7 +35,7 @@ Subcommands::
         the PTX model — and exits non-zero on any contradiction (the CI
         ``analysis-consistency`` job).
 
-    repro-litmus model TEST [--model ptx] [--model-engine fast|reference]
+    repro-litmus model TEST [--model ptx]
         Enumerate candidate executions and print the model's verdict.
 
     repro-litmus witness TEST [--model ptx|none] [--output FILE]
@@ -47,7 +47,7 @@ Subcommands::
 
     repro-litmus app [--scenario NAME ...] [--chips A B ...]
                  [--fenced both|on|off] [--runs N] [--seed S]
-                 [--intensity X] [--jobs N] [--engine fast|reference|batch]
+                 [--intensity X] [--jobs N] [--engine fast|batch]
                  [--cache-dir D] [--prescreen]
         Run application scenario campaigns (the deque / spin-lock /
         ticket-lock case studies of Secs. 3.2 and 6-7) through the
@@ -69,7 +69,7 @@ Subcommands::
     repro-litmus soundness [corpus flags as for generate, default
                  --fences cta gl] [--chips A B ...] [--iterations N]
                  [--seed S] [--model ptx] [--jobs N] [--cache-dir D]
-                 [--chunk-size N]
+                 [--chunk-size N] [--engine fast|batch]
         The Sec. 5.4 validation campaign: generate the diy corpus, run
         every test on every chip through the sharded session pool, check
         each observed final state against the model's allowed set
@@ -93,16 +93,18 @@ from .errors import ReproError
 from .harness.runner import default_iterations
 from .litmus import library, parse_litmus, write_litmus
 from .model.dot import weak_witness_dot
-from .model.models import (DEFAULT_MODEL_ENGINE, MODELS, MODEL_ENGINES,
-                           load_model)
+from .model.models import MODELS, load_model
 from .sim.chip import CHIPS, RESULT_CHIPS
 from .sim.engine import ENGINES, resolve_engine
 
 
 def _load_test(spec):
     if os.path.exists(spec):
-        with open(spec) as handle:
-            return parse_litmus(handle.read())
+        try:
+            with open(spec) as handle:
+                return parse_litmus(handle.read())
+        except (ReproError, OSError, UnicodeDecodeError) as error:
+            raise SystemExit("cannot load test %s: %s" % (spec, error))
     if spec in library.PAPER_TESTS:
         return library.build(spec)
     raise SystemExit("unknown test %r (not a file, not a library test; "
@@ -119,8 +121,7 @@ def _session(args):
     try:
         return Session(backend=args.backend, jobs=args.jobs,
                        executor=args.executor, cache_dir=args.cache_dir,
-                       engine=args.engine,
-                       model_engine=getattr(args, "model_engine", None))
+                       engine=args.engine)
     except ReproError as error:
         raise SystemExit(str(error))
 
@@ -132,22 +133,9 @@ def _engine_argument(parser):
                              "installed; distribution-equivalent "
                              "histograms), fast (compiled cells, the "
                              "default without numpy; the bit-"
-                             "reproducible reference stream, "
-                             "bit-identical to reference), or reference "
-                             "(the generic interpreter) — tracked "
-                             "speedups live in BENCH_engine.json; "
-                             "REPRO_ENGINE sets the default")
-
-
-def _model_engine_argument(parser):
-    parser.add_argument("--model-engine", default=None,
-                        choices=MODEL_ENGINES,
-                        help="model-checking engine: fast (compiled "
-                             "model + pruned enumeration, the default) "
-                             "or reference (materialise every candidate "
-                             "execution) — identical verdicts, speedups "
-                             "tracked in BENCH_model.json; "
-                             "REPRO_MODEL_ENGINE sets the default")
+                             "reproducible stream) — tracked speedups "
+                             "live in BENCH_engine.json; REPRO_ENGINE "
+                             "sets the default")
 
 
 def _pool_arguments(parser):
@@ -173,7 +161,6 @@ def _session_arguments(parser):
                              "model:NAME, analysis (static verdicts), or "
                              "exhaustive (DPOR stateless model checking)")
     _engine_argument(parser)
-    _model_engine_argument(parser)
 
 
 def _cmd_run(args):
@@ -264,8 +251,8 @@ def _cmd_model(args):
     test = _load_test(args.test)
     model = load_model(args.model)
     try:
-        allowed = model.allowed_outcomes(test, engine=args.model_engine)
-        verdict = model.allows_condition(test, engine=args.model_engine)
+        allowed = model.allowed_outcomes(test)
+        verdict = model.allows_condition(test)
     except ReproError as error:
         raise SystemExit(str(error))
     print(write_litmus(test))
@@ -426,8 +413,6 @@ def _cmd_list(args):
     print("chips: %s" % ", ".join(sorted(CHIPS)))
     print("models: %s" % ", ".join(sorted(MODELS)))
     print("sim engines: %s (default %s)" % (", ".join(ENGINES), engine))
-    print("model engines: %s (default %s)" % (", ".join(MODEL_ENGINES),
-                                              DEFAULT_MODEL_ENGINE))
     print("app scenarios (x = published, +fenced = the paper's fix):")
     for name in sorted(SCENARIOS):
         scenario = SCENARIOS[name]
@@ -490,7 +475,7 @@ def _cmd_soundness(args):
             incantations=args.incantations, iterations=iterations,
             seed=args.seed, jobs=args.jobs, executor=args.executor,
             cache_dir=args.cache_dir, chunk_size=args.chunk_size,
-            engine=args.engine, model_engine=args.model_engine)
+            engine=args.engine)
     except ReproError as error:
         raise SystemExit(str(error))
     print(report.summary_table(max_rows=args.max_rows))
@@ -663,7 +648,6 @@ def build_parser():
     model = sub.add_parser("model", help="model-check a test")
     model.add_argument("test")
     model.add_argument("--model", default="ptx", choices=sorted(MODELS))
-    _model_engine_argument(model)
     model.set_defaults(func=_cmd_model)
 
     witness = sub.add_parser(
@@ -715,7 +699,6 @@ def build_parser():
     # soundness pipeline is inherently dual-backend (sim + model).
     _pool_arguments(soundness)
     _engine_argument(soundness)
-    _model_engine_argument(soundness)
     soundness.set_defaults(func=_cmd_soundness)
     return parser
 

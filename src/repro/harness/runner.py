@@ -15,7 +15,7 @@ sessions (no cache, one worker) and repackage the results in the legacy
 is the same engine with the knobs exposed.
 
 Determinism note: every run is reproducible for the same seed and
-engine.  With ``engine="fast"`` (or ``"reference"``), up to one shard
+engine.  With ``engine="fast"``, up to one shard
 of iterations (:data:`repro.api.DEFAULT_SHARD_SIZE`, 25000) the
 wrappers reproduce the pre-1.1 single-RNG-stream histograms bit for
 bit; beyond that, iterations run in deterministically seeded shards,
@@ -100,8 +100,8 @@ def run_litmus(test, chip, incantations=None, iterations=None, seed=0,
     enabled) — which, as the paper reports, rarely witnesses anything on
     Nvidia chips.  Pass ``session`` to reuse a configured
     :class:`repro.api.Session` (workers, cache) for many calls, and
-    ``engine`` to pick the simulation engine (``"fast"``/``"reference"``,
-    bit-identical histograms, or ``"batch"``; ``None`` takes
+    ``engine`` to pick the simulation engine (``"fast"``, the
+    bit-reproducible stream, or ``"batch"``; ``None`` takes
     :func:`~repro.sim.engine.resolve_engine`'s default).
     """
     from ..api import RunSpec
@@ -122,20 +122,3 @@ def run_paper_config(test, chip, iterations=None, seed=0, session=None,
                       iterations=iterations, seed=seed, session=session,
                       engine=engine)
 
-
-def run_matrix(tests, chips, iterations=None, seed=0, paper_config=True,
-               session=None, engine=None):
-    """Run a family of tests across chips.
-
-    Returns ``{(test name, chip short): RunResult}``.  Used by the
-    figure-reproduction benchmarks.  The heavy lifting happens in
-    :meth:`repro.api.Session.campaign`; this wrapper keeps the legacy
-    dict-of-RunResult shape.
-    """
-    incantations = "best" if paper_config else Incantations.none()
-    campaign = _session(session).campaign(
-        tests, [_resolve_chip(chip) for chip in chips],
-        incantations=incantations, iterations=iterations, seed=seed,
-        engine=engine)
-    return {key: _legacy_result(result)
-            for key, result in campaign.results.items()}

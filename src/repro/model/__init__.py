@@ -6,8 +6,6 @@ from .enumerate import (AllowedStates, allowed_final_states,
                         enumerate_allowed, enumerate_executions)
 from .events import Event, FENCE, READ, WRITE
 from .execution import CandidateExecution
-from .models import (DEFAULT_MODEL_ENGINE, MODEL_ENGINES,
-                     resolve_model_engine)
 from .relation import EventIndex, IndexedRelation, Relation
 
 __all__ = [
@@ -17,6 +15,5 @@ __all__ = [
     "enumerate_allowed", "enumerate_executions",
     "Event", "FENCE", "READ", "WRITE",
     "CandidateExecution",
-    "DEFAULT_MODEL_ENGINE", "MODEL_ENGINES", "resolve_model_engine",
     "EventIndex", "IndexedRelation", "Relation",
 ]

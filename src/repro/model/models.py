@@ -9,32 +9,7 @@ the PTX model in the weak-to-strong spectrum.
 """
 
 from .cat import CatModel, compile_model
-from .enumerate import (allowed_final_states, enumerate_allowed,
-                        enumerate_executions)
-
-#: The two model-checking engines.  ``reference`` interprets the .cat
-#: text over pair-set relations for every materialised candidate
-#: execution; ``fast`` compiles the model once
-#: (:func:`~repro.model.cat.compile_model`) and runs a pruned,
-#: consistency-aware enumeration over indexed relations
-#: (:func:`~repro.model.enumerate.enumerate_allowed`).  Identical
-#: allowed sets, truncation flags and error behaviour by
-#: property-tested contract (``tests/test_model_compile.py``).
-MODEL_ENGINES = ("reference", "fast")
-
-#: Engine used when nothing picks one explicitly (overridable per call
-#: via ``engine=`` / per spec via ``RunSpec.model_engine`` /
-#: ``--model-engine`` or globally via ``REPRO_MODEL_ENGINE``).
-DEFAULT_MODEL_ENGINE = "fast"
-
-
-def resolve_model_engine(engine):
-    """Normalise a model-engine choice: ``None`` means the environment's
-    ``REPRO_MODEL_ENGINE`` (default ``fast``); anything else must name
-    one of :data:`MODEL_ENGINES`."""
-    from .._util import resolve_choice
-    return resolve_choice(engine, "REPRO_MODEL_ENGINE", MODEL_ENGINES,
-                          DEFAULT_MODEL_ENGINE, "model engine")
+from .enumerate import enumerate_allowed, enumerate_executions
 
 #: Fig. 15 — the RMO core.
 RMO_CORE_CAT = r"""
@@ -125,46 +100,33 @@ class AxiomaticModel:
         return compile_model(self.cat)
 
     def allowed_outcomes(self, test, fuel=128, on_fuel="error",
-                         max_executions=None, on_limit="error",
-                         engine=None):
+                         max_executions=None, on_limit="error"):
         """The set of final states allowed for ``test``.
 
         With ``on_limit="error"`` (the default, mirroring ``on_fuel``) a
         ``max_executions`` cap that cuts the enumeration short raises
         instead of silently under-approximating the allowed set.
 
-        ``engine`` picks the checking engine (``None`` resolves through
-        :func:`resolve_model_engine`: ``REPRO_MODEL_ENGINE``, default
-        ``"fast"``).  ``"fast"`` compiles the model once and prunes the
-        enumeration with its monotone checks; ``"reference"``
-        materialises every candidate execution and interprets the .cat
-        text against it.  Identical results either way.
+        Compiles the model once and prunes the enumeration with its
+        monotone checks (:func:`~repro.model.enumerate.enumerate_allowed`);
+        the result is property-tested equal to materialising every
+        candidate execution and interpreting the .cat text against it
+        (``allowed_final_states(enumerate_executions(test), self)``).
         """
-        if resolve_model_engine(engine) == "fast":
-            return enumerate_allowed(test, self.compiled(), fuel=fuel,
-                                     on_fuel=on_fuel,
-                                     max_executions=max_executions,
-                                     on_limit=on_limit)
-        executions = enumerate_executions(test, fuel=fuel, on_fuel=on_fuel,
-                                          max_executions=max_executions,
-                                          on_limit=on_limit)
-        return allowed_final_states(executions, model=self)
+        return enumerate_allowed(test, self.compiled(), fuel=fuel,
+                                 on_fuel=on_fuel,
+                                 max_executions=max_executions,
+                                 on_limit=on_limit)
 
-    def allows_condition(self, test, fuel=128, on_fuel="error", engine=None):
+    def allows_condition(self, test, fuel=128, on_fuel="error"):
         """Does any allowed execution satisfy the test's final condition?
 
         For ``exists`` conditions this is the paper's allowed/forbidden
         verdict for the weak behaviour the test characterises.
         """
-        if resolve_model_engine(engine) == "fast":
-            return any(test.condition.holds(state)
-                       for state in self.allowed_outcomes(
-                           test, fuel=fuel, on_fuel=on_fuel, engine="fast"))
-        executions = enumerate_executions(test, fuel=fuel, on_fuel=on_fuel)
-        for execution in executions:
-            if test.condition.holds(execution.final_state) and self.allows(execution):
-                return True
-        return False
+        return any(test.condition.holds(state)
+                   for state in self.allowed_outcomes(test, fuel=fuel,
+                                                      on_fuel=on_fuel))
 
     def witnesses(self, test, fuel=128, on_fuel="error"):
         """Allowed executions satisfying the final condition."""

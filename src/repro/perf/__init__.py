@@ -28,7 +28,7 @@ from .enginebench import (EngineBenchCell, PINNED_CORPUS, TINY_CORPUS,
                           summarize, tvd, tvd_envelope, write_report)
 from .modelbench import (MODEL_PINNED_CORPUS, MODEL_TINY_CORPUS,
                          ModelBenchCell, bench_model_cell,
-                         bench_model_engines, deep_corpus_tests,
+                         bench_models, deep_corpus_tests,
                          model_corpus_by_name, render_model_table,
                          summarize_model, write_model_report)
 
@@ -47,7 +47,7 @@ __all__ = [
     "bench_engines", "corpus_by_name", "render_table", "summarize",
     "tvd", "tvd_envelope", "write_report",
     "MODEL_PINNED_CORPUS", "MODEL_TINY_CORPUS", "ModelBenchCell",
-    "bench_model_cell", "bench_model_engines", "deep_corpus_tests",
+    "bench_model_cell", "bench_models", "deep_corpus_tests",
     "model_corpus_by_name", "render_model_table", "summarize_model",
     "write_model_report",
 ]

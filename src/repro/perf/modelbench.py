@@ -1,14 +1,16 @@
 """Timing harness for the model-checking engines (``BENCH_model.json``).
 
-Measures, per test of a pinned corpus, how long each model engine takes
-to compute the complete allowed set under the paper's PTX model:
+Measures, per test of a pinned corpus, how long each model-checking
+path takes to compute the complete allowed set under the paper's PTX
+model:
 
 * ``reference`` — materialise every candidate execution
   (:func:`~repro.model.enumerate.enumerate_executions`) and interpret
   the ``.cat`` text against each;
 * ``fast`` — compile the model once and run the pruned,
   consistency-aware enumeration over indexed relations
-  (:func:`~repro.model.enumerate.enumerate_allowed`).
+  (:func:`~repro.model.enumerate.enumerate_allowed`, what
+  :meth:`~repro.model.models.AxiomaticModel.allowed_outcomes` runs).
 
 Each timed run also cross-checks the parity contract: the two engines
 must produce the identical allowed set, so a perf number can never come
@@ -35,6 +37,7 @@ from dataclasses import asdict, dataclass
 
 from ..errors import ReproError
 from ..litmus import library
+from ..model.enumerate import allowed_final_states, enumerate_executions
 from ..model.models import load_model
 
 #: Report schema version (bump on layout changes).
@@ -153,13 +156,12 @@ def bench_model_cell(kind, name, model="ptx", repeats=3, deep_tests=None,
     axiomatic.compiled()  # compile outside the timed region (steady state)
 
     reference_s, reference_set = _timed(
-        lambda: axiomatic.allowed_outcomes(test, fuel=fuel,
-                                           on_fuel="discard",
-                                           engine="reference"), repeats)
+        lambda: allowed_final_states(
+            enumerate_executions(test, fuel=fuel, on_fuel="discard"),
+            model=axiomatic), repeats)
     fast_s, fast_set = _timed(
         lambda: axiomatic.allowed_outcomes(test, fuel=fuel,
-                                           on_fuel="discard",
-                                           engine="fast"), repeats)
+                                           on_fuel="discard"), repeats)
     return ModelBenchCell(
         test=test.name, kind=kind, model=axiomatic.name,
         allowed_states=len(fast_set),
@@ -168,7 +170,7 @@ def bench_model_cell(kind, name, model="ptx", repeats=3, deep_tests=None,
         identical=(set(reference_set) == set(fast_set)))
 
 
-def bench_model_engines(corpus=MODEL_PINNED_CORPUS, model="ptx", repeats=3):
+def bench_models(corpus=MODEL_PINNED_CORPUS, model="ptx", repeats=3):
     """Measure every corpus cell; returns a list of cells."""
     needs_deep = any(kind == "deep" for kind, _ in corpus)
     deep_tests = deep_corpus_tests() if needs_deep else {}

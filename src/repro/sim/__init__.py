@@ -1,12 +1,12 @@
 """Operational GPU simulator: chips, memory system, thread engines.
 
-Three engines execute litmus iterations:
+:class:`GpuMachine`'s generic per-instruction interpreter
+(:mod:`repro.sim.engine`) is the semantic ground truth.  Two engines
+execute litmus iterations on top of it:
 
-* ``reference`` — :class:`GpuMachine`'s generic per-instruction
-  interpreter (:mod:`repro.sim.engine`), the semantic ground truth;
 * ``fast`` — the compile-once/run-many specialisation of
-  :mod:`repro.sim.compile`, bit-identical by property-tested contract
-  and several times faster;
+  :mod:`repro.sim.compile`, bit-identical to :class:`GpuMachine` by
+  property-tested contract and several times faster;
 * ``batch`` — the numpy structure-of-arrays lowering of
   :mod:`repro.sim.batch`: whole shards execute in lockstep, another
   order of magnitude faster again.  Distribution-equivalent rather than
@@ -19,7 +19,9 @@ Pick one per run via :func:`run_iterations`'s ``engine`` argument, the
 ``--engine``; :func:`~repro.sim.engine.resolve_engine` applies the
 ``REPRO_ENGINE`` environment variable and otherwise
 :func:`~repro.sim.engine.default_engine`: ``batch`` when numpy is
-importable, ``fast`` without it.
+importable, ``fast`` without it.  :class:`GpuMachine` itself is not an
+engine choice: the parity tests and the engine benchmarks drive it
+directly.
 """
 
 from .batch import BatchCell, compile_batch_cell, have_numpy

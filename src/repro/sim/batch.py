@@ -37,8 +37,9 @@ Lowering summary
 RNG-stream contract (the documented seeded stream-break)
 --------------------------------------------------------
 
-``reference`` and ``fast`` consume one ``random.Random`` stream in
-bit-identical order.  Batching necessarily breaks that sequential
+The ``fast`` engine and the :class:`~repro.sim.machine.GpuMachine`
+interpreter consume one ``random.Random`` stream in bit-identical
+order.  Batching necessarily breaks that sequential
 stream: draws become *array* draws from a ``numpy`` PCG64 generator
 seeded deterministically from the shard's ``random.Random`` (via
 ``getrandbits``), so results remain a pure function of the shard seed —
@@ -127,7 +128,7 @@ def require_numpy():
         raise ConfigurationError(
             "engine='batch' needs numpy, which is not installed; "
             "install the batch extra (pip install 'repro[batch]') or "
-            "pick engine='fast'/'reference' (no third-party packages)")
+            "pick engine='fast' (no third-party packages)")
 
 
 def _unique_rows(matrix):

@@ -13,9 +13,10 @@ PTX model (Sec. 5): same-address pairs stay ordered except read-read
 and dependencies always order.
 """
 
+import os
 from dataclasses import dataclass
 
-from ..errors import SimulationError
+from ..errors import ConfigurationError, ReproError, SimulationError
 from ..ptx.instructions import (Add, And, AtomAdd, AtomCas, AtomExch,
                                 AtomInc, Bra, Cvt, Label, Ld, Membar, Mov,
                                 Setp, St, Xor)
@@ -25,23 +26,24 @@ from .._util import wrap32
 #: Pending-operation kinds.
 LOAD, STORE, FENCE, CAS, EXCH, FETCH_ADD = "R", "W", "F", "CAS", "EXCH", "ADD"
 
-#: The three simulation engines.  ``reference`` is this module's
-#: generic per-instruction interpreter — the semantic ground truth.
-#: ``fast`` is the compile-once/run-many specialisation of
-#: :mod:`repro.sim.compile`, property-tested to produce bit-identical
-#: histograms.  ``batch`` is the numpy structure-of-arrays lowering of
-#: :mod:`repro.sim.batch`: whole shards execute in lockstep, another
-#: order of magnitude faster, distribution-equivalent rather than
-#: bit-identical (a documented seeded RNG-stream-break — see that
-#: module's docstring) and gated on the optional ``repro[batch]``
-#: dependency.
-ENGINES = ("reference", "fast", "batch")
+#: The two selectable simulation engines.  ``fast`` is the
+#: compile-once/run-many specialisation of :mod:`repro.sim.compile`,
+#: property-tested to produce histograms bit-identical to this module's
+#: generic per-instruction interpreter (:class:`ThreadEngine` driven by
+#: :class:`~repro.sim.machine.GpuMachine`, the semantic ground truth the
+#: tests and the engine benchmarks run directly).  ``batch`` is the
+#: numpy structure-of-arrays lowering of :mod:`repro.sim.batch`: whole
+#: shards execute in lockstep, another order of magnitude faster,
+#: distribution-equivalent rather than bit-identical (a documented
+#: seeded RNG-stream-break — see that module's docstring) and gated on
+#: the optional ``repro[batch]`` dependency.
+ENGINES = ("fast", "batch")
 
 
 def default_engine():
     """Engine used when nothing picks one explicitly: ``batch`` when
     numpy is importable, ``fast`` otherwise (``fast`` stays the
-    bit-reproducible reference stream — name it to get that stream).
+    bit-reproducible stream — name it to get that stream).
     Overridable per run via ``RunSpec``/``Session``/``--engine`` or
     globally via the ``REPRO_ENGINE`` environment variable."""
     from .batch import have_numpy
@@ -49,12 +51,24 @@ def default_engine():
 
 
 def resolve_engine(engine):
-    """Normalise an engine choice: ``None`` means the environment's
-    ``REPRO_ENGINE`` (default :func:`default_engine`); anything else
-    must name one of :data:`ENGINES`."""
-    from .._util import resolve_choice
-    return resolve_choice(engine, "REPRO_ENGINE", ENGINES, default_engine(),
-                          "engine")
+    """Normalise an engine choice.
+
+    ``None`` consults the ``REPRO_ENGINE`` environment variable (falling
+    back to :func:`default_engine`), rejecting junk with a
+    :class:`~repro.errors.ConfigurationError`; an explicit ``engine``
+    must name one of :data:`ENGINES` or a
+    :class:`~repro.errors.ReproError` is raised.
+    """
+    if engine is None:
+        engine = os.environ.get("REPRO_ENGINE") or default_engine()
+        if engine not in ENGINES:
+            raise ConfigurationError("REPRO_ENGINE must be one of %s, got %r"
+                                     % ("/".join(ENGINES), engine))
+        return engine
+    if engine not in ENGINES:
+        raise ReproError("unknown engine %r (expected %s)"
+                         % (engine, " or ".join(map(repr, ENGINES))))
+    return engine
 
 
 def run_batch(machine, iterations, rng, histogram=None):

@@ -147,18 +147,16 @@ def run_iterations(test, chip, iterations, seed=0, intensity=1.0,
     ``FinalState -> count``.  (The full-featured runner with incantations
     lives in :mod:`repro.harness.runner`.)
 
-    ``engine`` picks the execution engine: ``"reference"`` interprets
-    through :class:`GpuMachine`, ``"fast"`` runs the compiled cell of
-    :mod:`repro.sim.compile` (bit-identical histograms), ``"batch"``
-    runs the whole request as one numpy lockstep batch
-    (:mod:`repro.sim.batch` — distribution-equivalent, needs the
-    ``repro[batch]`` extra); ``None`` defers to
-    :func:`~repro.sim.engine.resolve_engine`.
+    ``engine`` picks the execution engine: ``"fast"`` runs the
+    compiled cell of :mod:`repro.sim.compile` (bit-identical to
+    iterating a :class:`GpuMachine`), ``"batch"`` runs the whole
+    request as one numpy lockstep batch (:mod:`repro.sim.batch` —
+    distribution-equivalent, needs the ``repro[batch]`` extra); ``None``
+    defers to :func:`~repro.sim.engine.resolve_engine`.
     """
     from .engine import resolve_engine
 
-    resolved = resolve_engine(engine)
-    if resolved == "batch":
+    if resolve_engine(engine) == "batch":
         from .batch import compile_batch_cell
 
         cell = compile_batch_cell(test, chip, intensity=intensity,
@@ -166,16 +164,11 @@ def run_iterations(test, chip, iterations, seed=0, intensity=1.0,
                                   shuffle_placement=shuffle_placement)
         counts = cell.run_many(iterations, random.Random(seed)).counts
         return dict(counts)
-    if resolved == "fast":
-        from .compile import compile_cell
+    from .compile import compile_cell
 
-        machine = compile_cell(test, chip, intensity=intensity,
-                               stale_intensity=stale_intensity,
-                               shuffle_placement=shuffle_placement)
-    else:
-        machine = GpuMachine(test, chip, intensity=intensity,
-                             stale_intensity=stale_intensity,
-                             shuffle_placement=shuffle_placement)
+    machine = compile_cell(test, chip, intensity=intensity,
+                           stale_intensity=stale_intensity,
+                           shuffle_placement=shuffle_placement)
     rng = random.Random(seed)
     histogram = {}
     for _ in range(iterations):

@@ -7,7 +7,7 @@ from repro.api import (BEST, CampaignResult, ModelBackend, ResultCache,
                        RunSpec, Session, SimBackend, make_backend, matrix,
                        parse_incantations, plan_shards, shard_seed)
 from repro.errors import ReproError
-from repro.harness import Histogram, Incantations, run_litmus, run_matrix
+from repro.harness import Histogram, Incantations, run_litmus
 from repro.litmus import library
 from repro.model.models import load_model
 
@@ -342,19 +342,6 @@ class TestSessionApi:
         results = session.run_specs(specs)
         assert [result.spec.key[0] for result in results] == ["lb", "mp", "sb"]
 
-    def test_run_matrix_alias(self):
-        session = Session()
-        campaign = session.run_matrix([library.build("mp")], ["Titan"],
-                                      iterations=50)
-        assert isinstance(campaign, CampaignResult)
-
-    def test_legacy_run_matrix_wrapper_routes_through_session(self):
-        session = Session(jobs=2, shard_size=100)
-        results = run_matrix([library.build("mp")], ["Titan", "GTX6"],
-                             iterations=150, seed=1, session=session)
-        assert set(results) == {("mp", "Titan"), ("mp", "GTX6")}
-        assert session.stats.executed == 2
-
 
 class TestCampaignResult:
     def _campaign(self):
@@ -365,6 +352,7 @@ class TestCampaignResult:
 
     def test_views(self):
         campaign = self._campaign()
+        assert isinstance(campaign, CampaignResult)
         assert campaign.tests == ["mp", "lb"]
         assert campaign.chips == ["Titan", "HD7970"]
         assert set(campaign.by_test("mp")) == {"Titan", "HD7970"}

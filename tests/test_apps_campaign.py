@@ -2,8 +2,9 @@
 
 Covers the PR's contracts:
 
-* fast/reference engine parity for every registered scenario across the
-  chip table (bit-identical projected histograms);
+* fast-engine/interpreter parity for every registered scenario across
+  the chip table (bit-identical projected histograms, the interpreter
+  side run by :class:`reference_backends.ReferenceAppBackend`);
 * sharded/serial and thread/process RNG-stream parity;
 * single-shard campaign cells reproduce the ``Grid.launch_many`` stream
   (legacy driver parity);
@@ -17,10 +18,12 @@ Covers the PR's contracts:
   and the scenario listing work.
 """
 
+import random
+
 import pytest
 
 from repro import cli
-from repro.api import CampaignResult, make_backend
+from repro.api import CampaignResult, Session, make_backend
 from repro.api.cache import ResultCache
 from repro.apps import (AppBackend, Grid, LaunchResult, SCENARIOS,
                         ScenarioSpec, app_session, dot_product_scenario,
@@ -29,7 +32,9 @@ from repro.apps import (AppBackend, Grid, LaunchResult, SCENARIOS,
 from repro.compiler.cuda import Kernel, Load, Store
 from repro.errors import ConfigurationError, ReproError
 from repro.litmus.condition import Always, trivial_condition
+from repro.sim import GpuMachine, have_numpy, run_batch
 from repro.sim.chip import RESULT_CHIPS
+from reference_backends import ReferenceAppBackend
 
 STRESS = 100.0
 
@@ -46,6 +51,12 @@ def session():
     """One shared session: the compiled-cell memo and the result cache
     persist across tests, which is exactly the production shape."""
     return app_session()
+
+
+@pytest.fixture(scope="module")
+def reference_session():
+    """The interpreter-backed twin of :func:`session`."""
+    return Session(backend=ReferenceAppBackend())
 
 
 class TestRegistry:
@@ -92,9 +103,10 @@ class TestRegistry:
 
 class TestSpec:
     def test_fingerprint_excludes_engine(self):
-        fast = ScenarioSpec.make("deque-mp", "Titan", runs=100, seed=1)
-        ref = fast.with_engine("reference")
-        assert fast.fingerprint() == ref.fingerprint()
+        fast = ScenarioSpec.make("deque-mp", "Titan", runs=100, seed=1,
+                                 engine="fast")
+        batch = fast.with_engine("batch")
+        assert fast.fingerprint() == batch.fingerprint()
 
     def test_fingerprint_covers_content(self):
         base = ScenarioSpec.make("deque-mp", "Titan", runs=100, seed=1)
@@ -124,15 +136,14 @@ class TestSpec:
 
 class TestEngineParity:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_fast_matches_reference_across_chip_table(self, name, session):
+    def test_fast_matches_reference_across_chip_table(self, name, session,
+                                                      reference_session):
         scenario = SCENARIOS[name]
         for chip in CHIP_TABLE:
-            fast = session.run_specs([ScenarioSpec.make(
-                scenario, chip, runs=20, seed=3, intensity=STRESS,
-                engine="fast")])[0]
-            ref = session.run_specs([ScenarioSpec.make(
-                scenario, chip, runs=20, seed=3, intensity=STRESS,
-                engine="reference")])[0]
+            spec = ScenarioSpec.make(scenario, chip, runs=20, seed=3,
+                                     intensity=STRESS, engine="fast")
+            fast = session.run_specs([spec])[0]
+            ref = reference_session.run_specs([spec])[0]
             assert fast.histogram.counts == ref.histogram.counts, \
                 "engine divergence: %s on %s" % (name, chip)
             assert fast.observations == ref.observations
@@ -165,11 +176,11 @@ class TestShardingParity:
         """Legacy driver parity: one campaign shard == Grid.launch_many."""
         scenario = SCENARIOS[name]
         spec = ScenarioSpec.make(scenario, "HD7970", runs=30, seed=7,
-                                 intensity=STRESS, engine="reference")
+                                 intensity=STRESS, engine="fast")
         result = app_session(cache=False).run_specs([spec])[0]
         grid = Grid(list(scenario.kernels), "HD7970",
                     dict(scenario.init_mem), placement=scenario.placement,
-                    intensity=STRESS, engine="reference")
+                    intensity=STRESS, engine="fast")
         expected = scenario.project_histogram(grid.launch_batch(30, seed=7))
         assert result.histogram.counts == expected.counts
 
@@ -195,16 +206,18 @@ class TestAppBackendCache:
         assert second.histogram.counts == first.histogram.counts
         assert fresh.stats.executed == 0
 
+    @pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
     def test_engines_never_share_cache_entries(self):
         cache = ResultCache()
         fast_session = app_session(cache=cache)
-        ref_session = app_session(cache=cache)
-        spec = ScenarioSpec.make("deque-lb", "Titan", runs=20, seed=2)
+        batch_session = app_session(cache=cache)
+        spec = ScenarioSpec.make("deque-lb", "Titan", runs=20, seed=2,
+                                 engine="fast")
         fast_session.run_specs([spec])
-        ref_session.run_specs([spec.with_engine("reference")])
+        batch_session.run_specs([spec.with_engine("batch")])
         # Same fingerprint, different engines: both executed, no cross-hit.
-        assert ref_session.stats.cache_hits == 0
-        assert ref_session.stats.executed == 1
+        assert batch_session.stats.cache_hits == 0
+        assert batch_session.stats.executed == 1
 
     def test_in_plan_deduplication(self):
         session = app_session()
@@ -281,10 +294,9 @@ class TestRuntimeSatellites:
         kernels = [Kernel([Store("x", 1)]), Kernel([Load("v", "x")])]
         fast = Grid(kernels, "Titan", {"x": 0}, intensity=STRESS,
                     engine="fast")
-        ref = Grid(kernels, "Titan", {"x": 0}, intensity=STRESS,
-                   engine="reference")
+        ref = GpuMachine(fast.test, fast.chip, intensity=STRESS)
         assert (fast.launch_batch(50, seed=6).counts
-                == ref.launch_batch(50, seed=6).counts)
+                == run_batch(ref, 50, random.Random(6)).counts)
 
     def test_custom_locals_build_adhoc_scenario(self):
         from repro.apps import dot_product, cuda_by_example_lock

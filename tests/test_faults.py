@@ -4,6 +4,9 @@ in a one-line :class:`~repro.errors.ReproError` instead of a traceback.
 * Several processes writing the same result-cache entry at once (two
   sessions sharing a ``--cache-dir``) never raise, the entry reads
   back, and no temp file is left behind.
+* Processes reading that entry while it is being rewritten see either
+  a miss (before the first write lands) or the complete entry — never
+  an exception, a torn entry, or a miss once the entry exists.
 * A write that fails part-way leaves the old entry and no temp file.
 * A ``cache_dir`` that names an existing file is refused by path.
 * ``Session.run`` takes a library test name and rejects an unknown one.
@@ -16,6 +19,7 @@ in a one-line :class:`~repro.errors.ReproError` instead of a traceback.
 import json
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -28,6 +32,8 @@ from repro.litmus import library
 
 WRITERS = 4
 WRITES = 200
+READERS = 2
+READS = 300
 
 
 def _hammer(cache_dir):
@@ -55,6 +61,44 @@ def test_concurrent_writers_share_one_entry(tmp_path):
     assert hit is not None and hit.histogram.total == 1
     assert not [name for name in os.listdir(cache_dir)
                 if name.endswith(".tmp")]
+
+
+def _read_while_writing(cache_dir):
+    """Read the shared key through fresh caches (so every read goes to
+    disk) until ``READS`` hits or a deadline; returns ``(hits, misses
+    after the first hit, hits whose histogram was wrong)``."""
+    spec = RunSpec.make(library.build("mp"), "Titan", iterations=1)
+    expected = Session(cache=False).run(spec).histogram
+    hits = late_misses = wrong = 0
+    deadline = time.monotonic() + 60
+    while hits < READS and time.monotonic() < deadline:
+        hit = ResultCache(cache_dir=cache_dir).get("sim", spec,
+                                                   signature="shared")
+        if hit is None:
+            if hits:
+                late_misses += 1
+            else:
+                time.sleep(0.001)
+            continue
+        hits += 1
+        if hit.histogram != expected:
+            wrong += 1
+    return hits, late_misses, wrong
+
+
+def test_concurrent_readers_see_whole_entries(tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    os.makedirs(cache_dir)
+    with ProcessPoolExecutor(max_workers=READERS + WRITERS,
+                             mp_context=multiprocessing.get_context("spawn")
+                             ) as pool:
+        readers = [pool.submit(_read_while_writing, cache_dir)
+                   for _ in range(READERS)]
+        writers = [pool.submit(_hammer, cache_dir) for _ in range(WRITERS)]
+        assert [writer.result(timeout=120) for writer in writers] \
+            == [WRITES] * WRITERS
+        outcomes = [reader.result(timeout=120) for reader in readers]
+    assert outcomes == [(READS, 0, 0)] * READERS
 
 
 def test_failed_atomic_write_keeps_old_entry(tmp_path):

@@ -7,7 +7,7 @@ from repro.litmus import library
 from repro.litmus.condition import FinalState, parse_condition
 from repro.harness import (ALL_COMBINATIONS, Histogram, Incantations, TABLE6,
                            best_for, default_iterations, efficacy, run_litmus,
-                           run_matrix, run_paper_config)
+                           run_paper_config)
 
 
 class TestIncantationColumns:
@@ -186,11 +186,6 @@ class TestRunner:
         result = run_paper_config(library.build("mp"), "Titan",
                                   iterations=200, seed=1)
         assert "mp on Titan" in result.summary()
-
-    def test_run_matrix_keys(self):
-        results = run_matrix([library.build("mp")], ["Titan", "GTX7"],
-                             iterations=100, seed=1)
-        assert set(results) == {("mp", "Titan"), ("mp", "GTX7")}
 
     def test_iterations_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_ITERS", "37")

@@ -10,8 +10,8 @@ enumerating every candidate execution and checking each against the
 interpreted ``.cat`` text.  These tests enforce that contract across
 the litmus library, every registered model, diy dependency corpora and
 deep (length-6) cycles, plus the indexed-relation algebra itself, and
-pin down the engine switch's plumbing through
-``RunSpec``/``ModelBackend``/``Session``/CLI.
+check that ``AxiomaticModel.allowed_outcomes`` and the
+``ModelBackend``/``Session`` path return the reference allowed set.
 """
 
 import pytest
@@ -21,13 +21,11 @@ from repro.api import ModelBackend, RunSpec, Session, make_backend
 from repro.api.conformance import run_soundness, uniquify_tests
 from repro.diy import coe, default_pool, enumerate_cycles, fre, generate_tests, po, rfe
 from repro.diy.generate import cycle_to_test
-from repro.errors import (ConfigurationError, EnumerationError,
-                          GenerationError, ReproError)
+from repro.errors import EnumerationError, GenerationError, ReproError
 from repro.litmus import library
-from repro.model import (DEFAULT_MODEL_ENGINE, MODEL_ENGINES,
-                         CompiledCatModel, EventIndex, IndexedRelation,
+from repro.model import (CompiledCatModel, EventIndex, IndexedRelation,
                          Relation, compile_model, enumerate_allowed,
-                         enumerate_executions, resolve_model_engine)
+                         enumerate_executions)
 from repro.model.cat import CatModel
 from repro.model.events import Event
 from repro.model.models import MODELS, load_model, ptx_model
@@ -342,60 +340,31 @@ class TestEngineParity:
             enumerate_allowed(library.build("mp"), ptx_model(),
                               on_limit="sometimes")
 
-    def test_allowed_outcomes_engine_dispatch(self):
+    @pytest.mark.parametrize("name", ["mp+membar.gls", "mp", "coRR"])
+    def test_allowed_outcomes_matches_reference(self, name):
+        """The model API runs the fast path: its allowed set and its
+        condition verdict are the reference enumerate-then-check ones."""
         model = ptx_model()
-        test = library.build("mp+membar.gls")
-        fast = model.allowed_outcomes(test, engine="fast")
-        reference = model.allowed_outcomes(test, engine="reference")
-        assert set(fast) == set(reference)
-        assert model.allows_condition(test, engine="fast") \
-            == model.allows_condition(test, engine="reference")
+        test = library.build(name)
+        reference, _ = _reference_allowed(test, model)
+        assert set(model.allowed_outcomes(test)) == reference
+        assert model.allows_condition(test) == any(
+            test.condition.holds(state) for state in reference)
 
 
 # ---------------------------------------------------------------------------
-# Engine switch plumbing: RunSpec / backends / Session / CLI.
+# Model backend plumbing: cache signatures / Session / CLI.
 # ---------------------------------------------------------------------------
 
-class TestModelEngineSwitch:
-    def test_default_engine_is_fast(self):
-        assert DEFAULT_MODEL_ENGINE == "fast"
-        spec = RunSpec.make(library.build("mp"), "Titan", iterations=10)
-        assert spec.model_engine == "fast"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODEL_ENGINE", "reference")
-        assert resolve_model_engine(None) == "reference"
-        spec = RunSpec.make(library.build("mp"), "Titan", iterations=10)
-        assert spec.model_engine == "reference"
-
-    def test_bad_env_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODEL_ENGINE", "oracular")
-        with pytest.raises(ConfigurationError):
-            resolve_model_engine(None)
-
-    def test_bad_engine_argument(self):
-        with pytest.raises(ReproError):
-            RunSpec.make(library.build("mp"), "Titan", iterations=10,
-                         model_engine="oracular")
-
-    def test_fingerprint_model_engine_independent(self):
-        """Shard seeds derive from the fingerprint, so the fingerprint
-        must not see the model engine (mirroring the sim engine)."""
-        spec = RunSpec.make(library.build("mp"), "Titan", iterations=100,
-                            model_engine="fast")
-        reference = spec.with_model_engine("reference")
-        assert spec.fingerprint() == reference.fingerprint()
-        assert reference.model_engine == "reference"
-
-    def test_cache_signature_model_engine_dependent(self):
-        """Cached verdicts must not cross engines: a reference verdict
-        answering a fast-engine request would mask fast-path bugs."""
+class TestModelBackendPlumbing:
+    def test_cache_signature_sim_engine_independent(self):
+        """A verdict does not depend on the spec's sim engine, so fast
+        and batch campaigns share one enumeration per test."""
         backend = ModelBackend()
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=1,
-                            model_engine="fast")
+                            engine="fast")
         assert (backend.cache_signature(spec)
-                != backend.cache_signature(
-                    spec.with_model_engine("reference")))
+                == backend.cache_signature(spec.with_engine("batch")))
 
     def test_cache_signature_still_chip_independent(self):
         backend = ModelBackend()
@@ -404,37 +373,13 @@ class TestModelEngineSwitch:
         gtx = RunSpec.make(test, "GTX6", iterations=99, seed=7)
         assert backend.cache_signature(titan) == backend.cache_signature(gtx)
 
-    def test_session_model_engine_default_and_override(self):
-        session = Session(backend="model", model_engine="reference",
-                          cache=False)
-        test = library.build("mp")
-        result = session.run(test, "Titan", iterations=1)
-        assert result.spec.model_engine == "reference"
-        result = session.run(test, "Titan", iterations=1,
-                             model_engine="fast")
-        assert result.spec.model_engine == "fast"
-
-    def test_sessions_identical_across_engines(self):
+    def test_session_verdict_matches_reference(self):
         test = library.build("mp+membar.gls")
-        histograms = {}
-        for engine in MODEL_ENGINES:
-            session = Session(backend="model", cache=False,
-                              model_engine=engine)
-            result = session.run(test, "Titan", iterations=1)
-            histograms[engine] = result.histogram.counts
-        assert histograms["fast"] == histograms["reference"]
-
-    def test_cli_model_engine_flag(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(["model", "mp", "--model-engine",
-                                  "reference"])
-        assert args.model_engine == "reference"
-        args = parser.parse_args(["soundness", "--model-engine", "fast"])
-        assert args.model_engine == "fast"
-        args = parser.parse_args(["run", "mp"])
-        assert args.model_engine is None  # defer to REPRO_MODEL_ENGINE
+        session = Session(backend="model", cache=False)
+        result = session.run(test, "Titan", iterations=1)
+        reference, _ = _reference_allowed(test, ptx_model())
+        assert set(result.histogram.counts) == reference
+        assert all(count == 1 for count in result.histogram.counts.values())
 
     def test_cli_witness_subcommand(self):
         from repro.cli import build_parser

@@ -221,3 +221,53 @@ class TestCli:
         assert (args.jobs, args.executor, args.cache_dir) == (3, "thread", "D")
         with pytest.raises(SystemExit):
             parser.parse_args(command + ["--executor", "fiber"])
+
+
+def _malformed_test_file(tmp_path, kind):
+    """A path ``repro-litmus`` cannot load a test from, of one kind."""
+    from repro.litmus import write_litmus
+    path = tmp_path / ("bad-" + kind)
+    if kind == "no-condition":
+        text = write_litmus(library.build("mp"))
+        path.write_text("\n".join(line for line in text.splitlines()
+                                  if not line.startswith("exists")))
+    elif kind == "bad-header":
+        path.write_text("garbage\n")
+    elif kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00\x80" * 16)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["no-condition", "bad-header", "directory",
+                                  "binary"])
+@pytest.mark.parametrize("command", ["run", "campaign", "model", "witness"])
+def test_malformed_test_file_is_a_one_line_error(command, kind, tmp_path):
+    """Every subcommand that loads a test file turns a file it cannot
+    read or parse into a one-line exit message naming the file."""
+    path = _malformed_test_file(tmp_path, kind)
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, path])
+    message = excinfo.value.code
+    assert isinstance(message, str)  # non-zero exit, printed, no traceback
+    assert "\n" not in message
+    assert path in message
+
+
+def test_malformed_test_file_prints_no_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    path = _malformed_test_file(tmp_path, "directory")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "run", path],
+        capture_output=True, text=True, env=env)
+    assert completed.returncode == 1
+    assert completed.stdout == ""
+    assert len(completed.stderr.splitlines()) == 1
+    assert path in completed.stderr and "Traceback" not in completed.stderr

@@ -10,8 +10,8 @@ histograms agree within sampling noise (total variation distance inside
 :func:`repro.perf.tvd_envelope`), weak-behaviour verdicts and scenario
 loss verdicts match the fast engine, and a given seed is reproducible.
 These tests enforce that contract plus the engine's plumbing (guarded
-numpy dependency, fingerprint/cache-signature split, ``resolve_choice``
-precedence for every engine knob).
+numpy dependency, fingerprint/cache-signature split, ``resolve_engine``
+precedence).
 """
 
 import random
@@ -25,7 +25,6 @@ from repro.errors import ConfigurationError, ReproError
 from repro.harness.histogram import Histogram
 from repro.harness.incantations import best_for, efficacy
 from repro.litmus import library
-from repro.model.models import MODEL_ENGINES, resolve_model_engine
 from repro.perf import tvd, tvd_envelope
 from repro.sim import (CHIPS, ENGINES, BatchCell, compile_batch_cell,
                        compile_cell, default_engine, have_numpy,
@@ -184,7 +183,7 @@ class TestNumpyGuard:
             run_iterations(library.build("mp"), CHIPS["Titan"], 10,
                            engine="batch")
 
-    def test_fast_and_reference_do_not_need_numpy(self, monkeypatch):
+    def test_fast_does_not_need_numpy(self, monkeypatch):
         """The guarded-dependency contract: everything except the batch
         engine keeps working when numpy is absent."""
         monkeypatch.setattr(batch_module, "np", None)
@@ -196,8 +195,8 @@ class TestNumpyGuard:
 @requires_numpy
 class TestEnginePlumbing:
     def test_fingerprint_excludes_batch_engine(self):
-        """Shard seeds stay engine-neutral — the same shards feed all
-        three engines, which is what makes equivalence testable."""
+        """Shard seeds stay engine-neutral — the same shards feed both
+        engines, which is what makes equivalence testable."""
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=100,
                             engine="fast")
         batch = spec.with_engine("batch")
@@ -245,59 +244,48 @@ class TestEnginePlumbing:
         assert result.histogram.total == 80
 
 
-class TestResolveChoicePrecedence:
-    """The two-source engine-switch idiom, for all engine knobs."""
-
-    KNOBS = (
-        (resolve_engine, "REPRO_ENGINE", ENGINES, default_engine()),
-        (resolve_model_engine, "REPRO_MODEL_ENGINE", MODEL_ENGINES,
-         "fast"),
-    )
+class TestResolveEnginePrecedence:
+    """The two-source engine switch: explicit value, else
+    ``REPRO_ENGINE``, else :func:`default_engine`."""
 
     def test_default_when_unset(self, monkeypatch):
-        for resolve, env_var, _, default in self.KNOBS:
-            monkeypatch.delenv(env_var, raising=False)
-            assert resolve(None) == default
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert resolve_engine(None) == default_engine()
 
     def test_env_overrides_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "batch")
         assert resolve_engine(None) == "batch"
-        monkeypatch.setenv("REPRO_MODEL_ENGINE", "reference")
-        assert resolve_model_engine(None) == "reference"
+        monkeypatch.setenv("REPRO_ENGINE", "fast")
+        assert resolve_engine(None) == "fast"
 
     def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        monkeypatch.setenv("REPRO_ENGINE", "fast")
         assert resolve_engine("batch") == "batch"
-        monkeypatch.setenv("REPRO_MODEL_ENGINE", "reference")
-        assert resolve_model_engine("fast") == "fast"
+        monkeypatch.setenv("REPRO_ENGINE", "batch")
+        assert resolve_engine("fast") == "fast"
 
     def test_every_choice_accepted(self):
-        for resolve, _, choices, _ in self.KNOBS:
-            for choice in choices:
-                assert resolve(choice) == choice
+        assert ENGINES == ("fast", "batch")
+        for choice in ENGINES:
+            assert resolve_engine(choice) == choice
 
     def test_invalid_explicit_lists_choices(self):
-        for resolve, _, choices, _ in self.KNOBS:
-            with pytest.raises(ReproError) as excinfo:
-                resolve("warp-speed")
-            message = str(excinfo.value)
-            assert "warp-speed" in message
-            for choice in choices:
-                assert choice in message
+        with pytest.raises(ReproError) as excinfo:
+            resolve_engine("warp-speed")
+        message = str(excinfo.value)
+        assert "warp-speed" in message
+        for choice in ENGINES:
+            assert choice in message
 
     def test_invalid_env_lists_choices(self, monkeypatch):
-        for resolve, env_var, choices, _ in self.KNOBS:
-            monkeypatch.setenv(env_var, "warp-speed")
-            with pytest.raises(ConfigurationError) as excinfo:
-                resolve(None)
-            message = str(excinfo.value)
-            assert env_var in message
-            for choice in choices:
-                assert choice in message
+        monkeypatch.setenv("REPRO_ENGINE", "warp-speed")
+        with pytest.raises(ConfigurationError) as excinfo:
+            resolve_engine(None)
+        message = str(excinfo.value)
+        assert "REPRO_ENGINE" in message
+        assert "fast/batch" in message
 
-    def test_spec_resolves_env_for_both_knobs(self, monkeypatch):
+    def test_spec_resolves_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "batch")
-        monkeypatch.setenv("REPRO_MODEL_ENGINE", "reference")
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=10)
         assert spec.engine == "batch"
-        assert spec.model_engine == "reference"

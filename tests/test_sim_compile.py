@@ -7,8 +7,10 @@ final states — so every figure benchmark and the soundness campaign can
 run on the fast engine without a single count changing.  These tests
 enforce that contract across the litmus library, the chip stable, the
 incantation combinations, diy-generated dependency corpora and arbitrary
-shard decompositions, and pin down the engine switch's plumbing through
-``RunSpec``/``SimBackend``/``Session``/CLI.
+shard decompositions — the interpreter side runs through
+:class:`reference_backends.ReferenceSimBackend`, so both engines share
+the real shard planner and session — and pin down the engine switch's
+plumbing through ``RunSpec``/``SimBackend``/``Session``/CLI.
 """
 
 import hashlib
@@ -28,9 +30,10 @@ from repro.harness import run_litmus
 from repro.harness.histogram import Histogram
 from repro.harness.incantations import Incantations, efficacy
 from repro.litmus import library
-from repro.sim import (CHIPS, ENGINES, GpuMachine, RESULT_CHIPS,
-                       compile_cell, default_engine, have_numpy,
-                       resolve_engine, run_batch, run_iterations)
+from repro.sim import (CHIPS, GpuMachine, RESULT_CHIPS, compile_cell,
+                       default_engine, have_numpy, resolve_engine,
+                       run_batch, run_iterations)
+from reference_backends import ReferenceSimBackend
 
 LIBRARY_TESTS = sorted(library.PAPER_TESTS)
 ALL_CHIPS = list(RESULT_CHIPS) + ["GTX280"]
@@ -38,15 +41,12 @@ ALL_CHIPS = list(RESULT_CHIPS) + ["GTX280"]
 
 def _histograms(test, chip, incantations, iterations, seed,
                 shard_size=DEFAULT_SHARD_SIZE):
-    """Run one cell on both engines through the real backend/shard path;
-    returns (reference counts, fast counts)."""
-    backend = SimBackend()
-    out = []
-    for engine in ("reference", "fast"):
-        spec = RunSpec.make(test, chip, incantations=incantations,
-                            iterations=iterations, seed=seed, engine=engine)
-        out.append(backend.run(spec, shard_size=shard_size).counts)
-    return out
+    """Run one cell on the interpreter and the fast engine through the
+    real backend/shard path; returns (reference counts, fast counts)."""
+    spec = RunSpec.make(test, chip, incantations=incantations,
+                        iterations=iterations, seed=seed, engine="fast")
+    return [backend.run(spec, shard_size=shard_size).counts
+            for backend in (ReferenceSimBackend(), SimBackend())]
 
 
 class TestBitIdentity:
@@ -182,10 +182,10 @@ class TestEngineSwitch:
         assert report.engine == "fast"
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert resolve_engine(None) == "reference"
+        monkeypatch.setenv("REPRO_ENGINE", "batch")
+        assert resolve_engine(None) == "batch"
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=10)
-        assert spec.engine == "reference"
+        assert spec.engine == "batch"
 
     def test_bad_env_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "warp-speed")
@@ -203,37 +203,42 @@ class TestEngineSwitch:
         comparable shard by shard."""
         test = library.build("mp")
         fast = RunSpec.make(test, "Titan", iterations=100, engine="fast")
-        reference = fast.with_engine("reference")
-        assert fast.fingerprint() == reference.fingerprint()
+        batch = fast.with_engine("batch")
+        assert fast.fingerprint() == batch.fingerprint()
         assert ([shard.seed for shard in plan_shards(fast, 30)]
-                == [shard.seed for shard in plan_shards(reference, 30)])
+                == [shard.seed for shard in plan_shards(batch, 30)])
 
     def test_cache_signature_engine_dependent(self):
-        """Cached histograms must not cross engines: a reference result
-        answering a fast-engine request would mask fast-path bugs."""
+        """Cached histograms must not cross engines: a batch histogram
+        answering a bit-exact fast request would be silently wrong."""
         backend = SimBackend()
         test = library.build("mp")
         fast = RunSpec.make(test, "Titan", iterations=100, engine="fast")
         assert (backend.cache_signature(fast)
-                != backend.cache_signature(fast.with_engine("reference")))
+                != backend.cache_signature(fast.with_engine("batch")))
 
     def test_session_engine_default_and_override(self):
-        session = Session(engine="reference", cache=False)
+        session = Session(engine="batch", cache=False)
         test = library.build("mp")
-        result = session.run(test, "Titan", iterations=20, seed=1)
-        assert result.spec.engine == "reference"
+        spec, = session.plan([test], ["Titan"], iterations=20, seed=1)
+        assert spec.engine == "batch"
         result = session.run(test, "Titan", iterations=20, seed=1,
                              engine="fast")
         assert result.spec.engine == "fast"
 
     def test_sessions_bit_identical_across_engines(self):
+        """An interpreter-backed session and a fast-engine session give
+        the same histogram, serially in one shard and on a thread pool
+        over several."""
         test = library.build("cas-sl")
-        histograms = {}
-        for engine in ENGINES:
-            session = Session(cache=False, engine=engine)
-            result = session.run(test, "GTX6", iterations=400, seed=9)
-            histograms[engine] = result.histogram.counts
-        assert histograms["fast"] == histograms["reference"]
+        for jobs, shard_size in ((1, DEFAULT_SHARD_SIZE), (3, 70)):
+            reference, fast = [
+                Session(backend=backend, cache=False, jobs=jobs,
+                        shard_size=shard_size, executor="thread").run(
+                    test, "GTX6", iterations=400, seed=9,
+                    engine="fast").histogram.counts
+                for backend in (ReferenceSimBackend(), "sim")]
+            assert reference == fast
 
     def test_threaded_session_matches_serial(self):
         """jobs>1 with the thread executor shares one SimBackend across
@@ -251,24 +256,77 @@ class TestEngineSwitch:
         test = library.build("sb")
         chip = CHIPS["TesC"]
         fast = run_iterations(test, chip, 300, seed=4, engine="fast")
-        reference = run_iterations(test, chip, 300, seed=4,
-                                   engine="reference")
+        machine = GpuMachine(test, chip)
+        rng = random.Random(4)
+        reference = {}
+        for _ in range(300):
+            state = machine.run_once(rng)
+            reference[state] = reference.get(state, 0) + 1
         assert fast == reference
 
     def test_cli_engine_flag(self):
         from repro.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(["run", "mp", "--engine", "reference"])
-        assert args.engine == "reference"
+        args = parser.parse_args(["run", "mp", "--engine", "batch"])
+        assert args.engine == "batch"
         args = parser.parse_args(["soundness", "--engine", "fast"])
         assert args.engine == "fast"
         args = parser.parse_args(["campaign", "mp"])
         assert args.engine is None  # defer to REPRO_ENGINE / default
 
 
+class TestRemovedOptions:
+    """``reference`` is no engine choice and ``--model-engine`` is gone:
+    the interpreter and the enumerate-then-check model path are reached
+    only by direct calls."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "mp", "--engine", "reference"],
+        ["campaign", "mp", "--engine", "reference"],
+        ["app", "--engine", "reference"],
+        ["soundness", "--engine", "reference"],
+        ["run", "mp", "--model-engine", "fast"],
+        ["campaign", "mp", "--model-engine", "fast"],
+        ["model", "mp", "--model-engine", "fast"],
+        ["soundness", "--model-engine", "fast"],
+    ])
+    def test_cli_rejects_removed_values(self, argv, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    def test_env_reference_is_a_one_line_configuration_error(
+            self, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        with pytest.raises(ConfigurationError) as excinfo:
+            resolve_engine(None)
+        assert "fast/batch" in str(excinfo.value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "mp", "--iterations", "10"])
+        message = str(excinfo.value.code)
+        assert message == ("REPRO_ENGINE must be one of fast/batch, got "
+                           "'reference'")
+
+    def test_session_and_spec_reject_reference(self):
+        for build in (lambda: Session(engine="reference"),
+                      lambda: RunSpec.make(library.build("mp"), "Titan",
+                                           iterations=10,
+                                           engine="reference")):
+            with pytest.raises(ReproError) as excinfo:
+                build()
+            message = str(excinfo.value)
+            assert "'reference'" in message
+            assert "'fast'" in message and "'batch'" in message
+
+
 class TestFastStreamGolden:
-    """``fast`` is the bit-reproducible reference stream: the pinned
+    """``fast`` is the bit-reproducible stream: the pinned
     Sec. 5.4 sweep CI runs (40 diy tests x 4 chips x 300 iterations,
     seed 17) must print exactly these bytes on it.  The hash was taken
     when ``fast`` was still the default engine, from that release's
