@@ -27,7 +27,7 @@ def to_signed32(value):
     return value - (1 << 32) if value & HIGH_BIT32 else value
 
 
-def atomic_write(path, write, mode="w"):
+def atomic_write(path, write):
     """Replace ``path`` atomically with what ``write(stream)`` writes.
 
     The content goes to a fresh temp file in the same directory, which
@@ -38,7 +38,7 @@ def atomic_write(path, write, mode="w"):
     handle, temporary = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                          suffix=".tmp")
     try:
-        with os.fdopen(handle, mode) as stream:
+        with os.fdopen(handle, "w") as stream:
             write(stream)
         os.replace(temporary, path)
     except BaseException:

@@ -146,14 +146,6 @@ class Backend:
         """Execute one shard of ``spec``; returns a :attr:`result_type`."""
         raise NotImplementedError
 
-    def consume_stats(self):
-        """Execution counters accumulated since the previous call (e.g.
-        plan-cache hits), as a dict of
-        :class:`~repro.api.session.SessionStats` field increments.
-        Called in the worker that ran the shard, so process pools ship
-        the counts back with the result."""
-        return {}
-
 
 class SimBackend(Backend):
     """Operational execution on the simulated chips (Sec. 4 campaigns).
@@ -174,10 +166,13 @@ class SimBackend(Backend):
     (see :mod:`repro.sim.batch`).  The cache signature keeps the two
     apart (see :meth:`cache_signature`).
 
+    Either engine lowers a cell in the worker that runs it, once per
+    process and cell.
+
     Subclasses running other spec kinds (the app backend) override
     :meth:`_lowering` — the intensity and placement-shuffle flag a
-    cell lowers with — and :meth:`run_shard`; the memo, plan cache and
-    engine dispatch are shared.  :meth:`_machine` is the one place a
+    cell lowers with — and :meth:`run_shard`; the memo and engine
+    dispatch are shared.  :meth:`_machine` is the one place a
     cell becomes something answering ``run_once``/``run_many``, so a
     subclass overriding it alone (say, one interpreting through
     :class:`~repro.sim.machine.GpuMachine` for a parity check) reuses
@@ -196,17 +191,6 @@ class SimBackend(Backend):
         # one.  (Process pools sidestep this via pickling, which drops
         # the memo entirely — see __getstate__.)
         self._local = threading.local()
-        # Plan-cache directory (a plain string, so it *does* pickle
-        # into process-pool workers — that is the whole point: workers
-        # share lowered batch plans through it instead of re-analysing
-        # per process).  Set via set_plan_cache, typically by the
-        # session when it has a disk cache directory.
-        self.plan_dir = None
-
-    def set_plan_cache(self, directory):
-        """Share lowered batch plans through ``directory`` (None
-        disables).  See :mod:`repro.sim.plancache`."""
-        self.plan_dir = directory
 
     def __getstate__(self):
         # Compiled cells hold closures; drop the memo when a process
@@ -257,51 +241,18 @@ class SimBackend(Backend):
         # Key on exactly what the lowering receives, so iteration/seed
         # variants of one cell share a single compilation (and the two
         # engines never share one).
-        content = (write_litmus(spec.test), repr(spec.chip), intensity,
-                   shuffle)
-        key = (spec.engine,) + content
+        key = (spec.engine, write_litmus(spec.test), repr(spec.chip),
+               intensity, shuffle)
         machine = cells.get(key)
         if machine is None:
             if len(cells) >= self.MAX_COMPILED:
                 cells.clear()
-            if spec.engine == "batch":
-                machine = self._lower_batch(spec, content)
-            else:
-                machine = compile_cell(spec.test, spec.chip,
-                                       intensity=intensity,
-                                       shuffle_placement=shuffle)
-            cells[key] = machine
+            lower = (compile_batch_cell if spec.engine == "batch"
+                     else compile_cell)
+            machine = cells[key] = lower(spec.test, spec.chip,
+                                         intensity=intensity,
+                                         shuffle_placement=shuffle)
         return machine
-
-    def _lower_batch(self, spec, content):
-        """Lower a batch cell, sharing analysis plans across workers.
-
-        With a plan cache attached, the picklable analysis product of
-        the lowering is looked up by ``content`` (the lowering inputs)
-        before paying the analysis pass, and published after a miss —
-        so a process pool analyses each cell once per campaign, not
-        once per worker.
-        """
-        _text, _chip, intensity, shuffle = content
-        plan = store = signature = None
-        if self.plan_dir:
-            from ..sim.batch import PLAN_VERSION
-            from ..sim.plancache import plan_signature, plan_store
-            store = plan_store(self.plan_dir)
-            signature = plan_signature("batch", PLAN_VERSION, *content)
-            plan = store.get(signature)
-        machine = compile_batch_cell(spec.test, spec.chip,
-                                     intensity=intensity,
-                                     shuffle_placement=shuffle, plan=plan)
-        if store is not None and plan is None:
-            store.put(signature, machine.plan())
-        return machine
-
-    def consume_stats(self):
-        if not self.plan_dir:
-            return {}
-        from ..sim.plancache import plan_store
-        return plan_store(self.plan_dir).consume_stats()
 
     def run_shard(self, spec, shard):
         return run_batch(self._machine(spec), shard.iterations,

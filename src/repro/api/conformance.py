@@ -270,7 +270,7 @@ def _join_cell(result, allowed):
 
 
 def run_soundness(tests, chips, model="ptx", incantations=BEST,
-                  iterations=None, seed=0, jobs=1, executor="thread",
+                  iterations=None, seed=0, jobs=1, executor="process",
                   cache=True, cache_dir=None, chunk_size=DEFAULT_CHUNK_SIZE,
                   fuel=128, sim_session=None, model_session=None,
                   progress=None, engine=None):
@@ -299,8 +299,10 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
     internally built sessions, which share one worker pool and one
     result cache; pass ``sim_session``/``model_session`` to reuse
     existing engines instead (e.g. the benchmarks' shared memoising
-    session).  ``progress`` is an optional callable invoked with each
-    finished :class:`CellConformance`.
+    session).  ``executor`` defaults to ``"process"``, like the CLI's
+    ``--executor``: the simulator is CPU-bound pure Python, so a thread
+    pool cannot speed it up.  ``progress`` is an optional callable
+    invoked with each finished :class:`CellConformance`.
 
     Returns a :class:`ConformanceReport`.  Raises
     :class:`~repro.errors.EnumerationError` rather than checking against

@@ -20,7 +20,6 @@ a single-shard run reproduces the legacy serial iteration stream.
 """
 
 import contextlib
-import os
 from concurrent import futures as _futures
 from dataclasses import asdict, dataclass
 
@@ -51,15 +50,8 @@ def chunked(iterable, size):
 
 
 def _execute_shard(backend, spec, shard):
-    """Module-level so process pools can pickle the work unit.
-
-    Returns ``(result, counters)``: the backend's counter increments
-    (e.g. plan-cache hits, always a dict) are captured *in the worker
-    that ran the shard*, so process pools ship them back with the
-    result.
-    """
-    result = backend.run_shard(spec, shard)
-    return result, backend.consume_stats()
+    """Module-level so process pools can pickle the work unit."""
+    return backend.run_shard(spec, shard)
 
 
 def _broken_pool(spec, shard):
@@ -79,8 +71,8 @@ def _submit(pool, backend, spec, shard):
 
 
 def _outcome(spec, shard, future):
-    """A parallel shard's ``(result, counters)``; a broken pool is
-    reported against the cell, not as a bare pool error."""
+    """A parallel shard's result; a broken pool is reported against the
+    cell, not as a bare pool error."""
     try:
         return future.result()
     except _futures.BrokenExecutor as error:
@@ -97,8 +89,9 @@ class SessionStats:
     deduplicated: int = 0           #: specs satisfied by an in-plan twin
     shards_executed: int = 0        #: shards run on the backend
     simulated_iterations: int = 0   #: iterations executed (sharded backends)
-    plan_cache_hits: int = 0        #: batch lowering plans reused from disk
-    plan_cache_misses: int = 0      #: batch lowerings analysed from scratch
+    # Always 0: perfbench/child.py's STAT_KEYS still reads these two.
+    plan_cache_hits: int = 0
+    plan_cache_misses: int = 0
 
     def snapshot(self):
         return asdict(self)
@@ -182,13 +175,6 @@ class Session:
             self.cache = ResultCache(cache_dir=cache_dir)
         else:
             self.cache = None
-        # A disk-backed session also shares lowered batch plans between
-        # workers (and future sessions on the same directory): the plan
-        # store lives next to the result entries.
-        if (self.cache is not None and self.cache.cache_dir
-                and hasattr(self.backend, "set_plan_cache")):
-            self.backend.set_plan_cache(
-                os.path.join(self.cache.cache_dir, "plans"))
         self.stats = SessionStats()
 
     # -- public API -------------------------------------------------------
@@ -317,9 +303,9 @@ class Session:
         executed = []
         for index, spec in pending:
             shards = self.backend.shards(spec, self.shard_size)
-            outcomes = [_execute_shard(self.backend, spec, shard)
-                        for shard in shards]
-            executed.append((index, self._result(spec, shards, outcomes)))
+            results = [_execute_shard(self.backend, spec, shard)
+                       for shard in shards]
+            executed.append((index, self._result(spec, shards, results)))
         return executed
 
     def _run_parallel(self, pending):
@@ -334,9 +320,9 @@ class Session:
             for index, spec, shards, futures in plans:
                 # Merge in shard-index order: bit-identical to the serial
                 # path no matter which worker finished first.
-                outcomes = [_outcome(spec, shard, future)
-                            for shard, future in zip(shards, futures)]
-                executed.append((index, self._result(spec, shards, outcomes)))
+                results = [_outcome(spec, shard, future)
+                           for shard, future in zip(shards, futures)]
+                executed.append((index, self._result(spec, shards, results)))
             return executed
 
     def _pool(self):
@@ -350,18 +336,13 @@ class Session:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _result(self, spec, shards, outcomes):
-        """Merge one spec's ``(result, counters)`` shard outcomes and
-        account for the work."""
+    def _result(self, spec, shards, results):
+        """Merge one spec's shard results and account for the work."""
         stats = self.stats
         stats.executed += 1
         stats.shards_executed += len(shards)
         stats.simulated_iterations += sum(shard.iterations for shard in shards)
-        for _, counters in outcomes:
-            for key, value in counters.items():
-                setattr(stats, key, getattr(stats, key) + value)
-        histogram = self.backend.result_type.merge(
-            result for result, _ in outcomes)
+        histogram = self.backend.result_type.merge(results)
         return SpecResult(spec=spec, backend=self.backend.name,
                           histogram=histogram, cached=False)
 

@@ -4,8 +4,8 @@
 cells as a :class:`repro.api.backends.SimBackend` subclass, which is
 what buys application campaigns everything litmus campaigns have —
 deterministic sharded parallel execution, two-tier result caching,
-in-plan deduplication, the shared compiled-cell memo and batch plan
-cache, and session accounting — without the session layer knowing
+in-plan deduplication, the shared compiled-cell memo and session
+accounting — without the session layer knowing
 scenarios exist:
 
 * **sharding** — a spec's launches split into fixed-size shards through

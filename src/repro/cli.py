@@ -355,9 +355,6 @@ def _cmd_app(args):
           "%d shards, %d launches"
           % (stats.executed, stats.cache_hits, stats.deduplicated,
              stats.shards_executed, stats.simulated_iterations))
-    if stats.plan_cache_hits or stats.plan_cache_misses:
-        print("plan cache: %d hits, %d misses"
-              % (stats.plan_cache_hits, stats.plan_cache_misses))
     return 1 if lossy_fenced else 0
 
 

@@ -99,7 +99,7 @@ def _warm_checked(label, measure_pair):
         raise ReproError(
             "appbench warm-vs-cold inversion persists for %s: warm "
             "%.4fs vs cold %.4fs (floor %.0f%%) after %d re-measures — "
-            "the warm pass is re-lowering instead of reusing its plan"
+            "the warm pass is re-lowering instead of reusing its cell"
             % (label, warm_seconds, cold_seconds, 100 * _WARM_FLOOR,
                _WARM_RETRIES))
     return cold_seconds, cold_counts, warm_seconds, warm_counts
@@ -157,8 +157,8 @@ def bench_app_cell(scenario_name, chip_short, runs=BENCH_APP_RUNS, seed=0,
     def compiled():
         return compile_cell(test, chip, intensity=intensity)
 
-    def batched(plan=None):
-        return compile_batch_cell(test, chip, intensity=intensity, plan=plan)
+    def batched():
+        return compile_batch_cell(test, chip, intensity=intensity)
 
     def pair(cold_setup, warm_machine):
         def measure():
@@ -183,11 +183,11 @@ def bench_app_cell(scenario_name, chip_short, runs=BENCH_APP_RUNS, seed=0,
 
     batch = {}
     if have_numpy():
-        # The warm cell reuses the cold pass's memoized analysis plan —
-        # the steady state of a campaign worker behind the plan cache —
-        # so a warm deficit can only be measurement noise (and trips
-        # the warm-floor check rather than landing in the report).
-        batch_cell = batched(batched().plan())
+        # The warm cell is lowered once up front — the steady state of
+        # a campaign worker's memo — so a warm deficit can only be
+        # measurement noise (and trips the warm-floor check rather than
+        # landing in the report).
+        batch_cell = batched()
         run_batch(batch_cell, 50, random.Random(seed))  # pre-touch
         (batch_cold_seconds, _,
          batch_warm_seconds, batch_counts) = _warm_checked(

@@ -112,10 +112,6 @@ _CACHE_TARGET = 12 << 20
 #: dispatch overhead dominates and wider always wins.
 _MIN_CHUNK = 2048
 
-#: Version tag of the picklable lowering plan (bump on layout changes
-#: to :class:`_ThreadStatic`/:class:`_SlotStatic`).
-PLAN_VERSION = 1
-
 
 def have_numpy():
     """True when the optional numpy dependency is importable."""
@@ -344,8 +340,7 @@ class BatchCell:
     """
 
     def __init__(self, test, chip, intensity=1.0, stale_intensity=None,
-                 shuffle_placement=False, fuel=None, scope_blind=False,
-                 plan=None):
+                 shuffle_placement=False, fuel=None, scope_blind=False):
         require_numpy()
         self.test = test
         self.chip = chip
@@ -428,23 +423,10 @@ class BatchCell:
         self.thread_ctas = [test.scope_tree.placement(program.name).cta
                             for program in test.threads]
         observed = tuple(test.observed_registers())
-        if plan is not None and (plan.get("version") != PLAN_VERSION
-                                 or len(plan.get("threads", ()))
-                                 != len(test.threads)):
-            plan = None  # stale or foreign plan: fall back to analysis
-        self._thread_statics = []
-        for index, (program, cta) in enumerate(zip(test.threads,
-                                                   self.thread_ctas)):
-            compiler = _BatchCompiler(self, program, test, cta,
-                                      required_scope, scope_blind, chip)
-            if plan is not None:
-                # Plan-cache hit: skip the analysis pass (register
-                # columns + slot tables) and regenerate only the
-                # closures, which cannot be pickled.
-                compiler.S = plan["threads"][index]
-                self._thread_statics.append(compiler.codegen())
-            else:
-                self._thread_statics.append(compiler.compile())
+        self._thread_statics = [
+            _BatchCompiler(self, program, test, cta, required_scope,
+                           scope_blind, chip).compile()
+            for program, cta in zip(test.threads, self.thread_ctas)]
         self._static_sm_row = np.asarray(
             [cta % self.n_sms for cta in self.thread_ctas], dtype=np.int64)
         self._thread_cta_row = np.asarray(self.thread_ctas, dtype=np.int64)
@@ -497,30 +479,6 @@ class BatchCell:
         for S in self._thread_statics:
             per_row += 8 * (2 * S.n_regs + 4 * max(S.K, 1) + 4)
         self._row_bytes = per_row
-
-    # -- plan extraction ---------------------------------------------------
-
-    def plan(self):
-        """Picklable lowering plan for the cross-worker plan cache.
-
-        Contains the analysis product of every thread — register
-        columns, slot tables, pair metadata — with the unpicklable
-        closures stripped; :class:`BatchCell` rebuilt with ``plan=``
-        skips straight to closure generation.
-        """
-        stripped = []
-        for S in self._thread_statics:
-            clone = _ThreadStatic(S.tid, S.cta)
-            clone.init_regs = S.init_regs
-            clone.n_regs = S.n_regs
-            clone.reg_index = S.reg_index
-            clone.slots = S.slots
-            clone.K = S.K
-            clone.static_order = S.static_order
-            clone.window_check = S.window_check
-            clone.slot_of = S.slot_of
-            stripped.append(clone)
-        return {"version": PLAN_VERSION, "threads": stripped}
 
     # -- execution ---------------------------------------------------------
 
@@ -1076,12 +1034,9 @@ class _BatchCompiler:
         return self.codegen()
 
     def analyze(self):
-        """First pass: register columns and slot tables.
-
-        Everything this pass produces is picklable — it is exactly the
-        payload of :meth:`BatchCell.plan` that the cross-worker plan
-        cache stores; :meth:`codegen` rebuilds only the closures.
-        """
+        """First pass: register columns and slot tables, built for
+        every memory instruction before :meth:`codegen` runs, because
+        pair compilation needs the full slot table."""
         S = self.S
         S.reg_index = self._register_columns()
         S.n_regs = max(len(S.reg_index), 1)
@@ -1154,8 +1109,8 @@ class _BatchCompiler:
         return S
 
     def codegen(self):
-        """Second pass: step kernels, pair-blocking plans, issue kernels
-        — the closures, regenerated per process on a plan-cache hit."""
+        """Second pass: step kernels, pair-blocking plans and issue
+        kernels over the slot table :meth:`analyze` built."""
         S = self.S
         slot_of = S.slot_of
         S.code = [self._compile_one(pc, instruction, slot_of.get(pc))
@@ -1736,8 +1691,7 @@ class _BatchCompiler:
 
 
 def compile_batch_cell(test, chip, intensity=1.0, stale_intensity=None,
-                       shuffle_placement=False, fuel=None, scope_blind=False,
-                       plan=None):
+                       shuffle_placement=False, fuel=None, scope_blind=False):
     """Lower one campaign cell into a :class:`BatchCell`.
 
     Parameters mirror :func:`~repro.sim.compile.compile_cell`; the
@@ -1745,11 +1699,8 @@ def compile_batch_cell(test, chip, intensity=1.0, stale_intensity=None,
     same outcome *distribution* as the fast engine (see the module
     docstring for the RNG-stream contract).  Raises
     :class:`~repro.errors.ConfigurationError` when numpy is missing.
-
-    ``plan`` is an optional pre-analyzed lowering plan from :meth:`BatchCell.plan` —
-    a plan-cache hit skips the analysis pass.
     """
     return BatchCell(test, chip, intensity=intensity,
                      stale_intensity=stale_intensity,
                      shuffle_placement=shuffle_placement, fuel=fuel,
-                     scope_blind=scope_blind, plan=plan)
+                     scope_blind=scope_blind)

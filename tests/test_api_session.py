@@ -238,14 +238,11 @@ class TestCaching:
         session.run(spec_for())
         entries = list(tmp_path.glob("*.json"))
         assert entries
-        # Result entries and, under the batch engine, the lowering plans
-        # stored next to them in plans/.
-        for path in entries + list(tmp_path.glob("plans/*.plan")):
+        for path in entries:
             path.write_text("{ not json")
         cold = Session(cache_dir=str(tmp_path))
         result = cold.run(spec_for())
         assert cold.stats.executed == 1
-        assert cold.stats.plan_cache_hits == 0
         assert not result.cached
 
     def test_shared_cache_instance_across_sessions(self):

@@ -1,4 +1,4 @@
-"""Straggler-tail hand-off and cross-worker plan-cache contracts.
+"""Straggler-tail hand-off contracts.
 
 The batch engine's tail hand-off drains a chunk's last spinning
 survivors on the compiled fast engine instead of paying full-width
@@ -10,12 +10,10 @@ numpy dispatch.  Its contracts, enforced here:
 * the tailed stream stays **distribution-equivalent** to the fast
   engine (TVD inside the sampling envelope, loss verdicts agreeing) on
   the spin-heavy scenarios the hand-off exists for;
-* results are deterministic per seed, invariant across the session's
-  jobs/executor decomposition, and unchanged by a plan round-trip;
-* lowered plans round-trip through the process-safe plan store
-  (:mod:`repro.sim.plancache`) bit-identically, tolerate corrupt
-  entries, and surface hit/miss counters through the session stats —
-  including across process-pool workers.
+* results are deterministic per seed and invariant across the
+  session's jobs/executor decomposition, including a disk-backed
+  process pool whose workers each lower the cell themselves and leave
+  nothing but result entries in the cache directory.
 """
 
 import hashlib
@@ -25,13 +23,11 @@ import random
 import pytest
 
 from repro.apps import app_session, get_scenario, run_scenario
-from repro.apps.scenario import ScenarioSpec
 from repro.harness.histogram import Histogram
 from repro.litmus import library
 from repro.perf import tvd, tvd_envelope
 from repro.sim import CHIPS, compile_batch_cell, compile_cell, have_numpy
 from repro.sim.engine import run_batch
-from repro.sim.plancache import plan_signature, plan_store
 
 requires_numpy = pytest.mark.skipif(not have_numpy(),
                                     reason="numpy not installed")
@@ -114,100 +110,19 @@ class TestTailDeterminism:
                 first = histogram.counts
         assert histogram.counts == first
 
-    @pytest.mark.parametrize("name,chip", (("mp", "Titan"), ("sb", "GTX5")))
-    def test_plan_roundtrip_is_stream_neutral(self, name, chip):
-        """A cell rebuilt from its pickled plan draws the same stream."""
-        test = library.build(name)
-        fresh = compile_batch_cell(test, CHIPS[chip])
-        replayed = compile_batch_cell(test, CHIPS[chip], plan=fresh.plan())
-        a = run_batch(fresh, 2000, random.Random(3))
-        b = run_batch(replayed, 2000, random.Random(3))
-        assert a.counts == b.counts
-
-    def test_jobs_and_executor_invariant(self):
+    def test_jobs_and_executor_invariant(self, tmp_path):
         kwargs = dict(runs=600, seed=3, engine="batch")
         serial = app_session(cache=False, shard_size=150)
         threaded = app_session(cache=False, shard_size=150, jobs=3)
         process = app_session(cache=False, shard_size=150, jobs=2,
                               executor="process")
+        on_disk = app_session(cache_dir=str(tmp_path), shard_size=150,
+                              jobs=2, executor="process")
+        sessions = (serial, threaded, process, on_disk)
         results = [run_scenario("ticket", "TesC", session=session, **kwargs)
-                   for session in (serial, threaded, process)]
-        assert (results[0].histogram.counts == results[1].histogram.counts
-                == results[2].histogram.counts)
+                   for session in sessions]
+        for result in results[1:]:
+            assert result.histogram.counts == results[0].histogram.counts
         assert serial.stats.shards_executed == 4  # ceil(600 / 150)
-
-
-@requires_numpy
-class TestPlanCache:
-    def test_roundtrip_and_stats(self, tmp_path):
-        store = plan_store(str(tmp_path / "plans"))
-        signature = plan_signature("sim-batch", 1, "litmus", "chip", 11)
-        assert store.get(signature) is None
-        test = library.build("mp")
-        plan = compile_batch_cell(test, CHIPS["Titan"]).plan()
-        store.put(signature, plan)
-        retrieved = store.get(signature)
-        # Plan payloads hold analysis objects without __eq__ — check
-        # the round-trip structurally and by replaying the stream.
-        assert retrieved is not None
-        assert retrieved["version"] == plan["version"]
-        assert len(retrieved["threads"]) == len(plan["threads"])
-        replayed = compile_batch_cell(test, CHIPS["Titan"], plan=retrieved)
-        fresh = compile_batch_cell(test, CHIPS["Titan"])
-        assert (run_batch(replayed, 1500, random.Random(2)).counts
-                == run_batch(fresh, 1500, random.Random(2)).counts)
-        assert store.consume_stats() == {"plan_cache_hits": 1,
-                                         "plan_cache_misses": 1}
-        assert store.consume_stats() == {"plan_cache_hits": 0,
-                                         "plan_cache_misses": 0}  # drained
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        directory = str(tmp_path / "plans")
-        store = plan_store(directory)
-        signature = plan_signature("x")
-        store.put(signature, {"version": 1})
-        path = next(os.path.join(directory, name)
-                    for name in os.listdir(directory))
-        with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
-        assert store.get(signature) is None
-
-    def test_signature_separates_content(self):
-        assert plan_signature("a", 1) != plan_signature("a", 2)
-        assert plan_signature("a", 1) == plan_signature("a", 1)
-
-    def test_in_process_hit_and_session_stats(self, tmp_path):
-        first = app_session(cache_dir=str(tmp_path))
-        spec_a = ScenarioSpec.make("ticket", "TesC", runs=200,
-                                   engine="batch")
-        first.run_specs([spec_a])
-        assert first.stats.plan_cache_misses >= 1
-        assert first.stats.plan_cache_hits == 0
-        # Same lowering (scenario/chip/intensity) on a fresh backend
-        # memo and a different result-cache key: the lowering must hit
-        # the shared store.
-        second = app_session(cache_dir=str(tmp_path))
-        second.run_specs([ScenarioSpec.make(
-            "ticket", "TesC", runs=200, seed=1, engine="batch")])
-        assert second.stats.plan_cache_hits >= 1
-        assert second.stats.plan_cache_misses == 0
-        # A cached result executes nothing, so it lowers nothing.
-        before = second.stats.snapshot()
-        cached = second.run_specs([spec_a])[0]
-        assert cached.cached
-        after = second.stats.snapshot()
-        assert after["plan_cache_hits"] == before["plan_cache_hits"]
-        assert after["plan_cache_misses"] == before["plan_cache_misses"]
-
-    def test_process_pool_workers_hit_shared_store(self, tmp_path):
-        cache_dir = str(tmp_path)
-        warmup = app_session(cache_dir=cache_dir)
-        run_scenario("dot-cbe", "Titan", runs=200, seed=1, engine="batch",
-                     session=warmup)
-        assert warmup.stats.plan_cache_misses >= 1
-        pooled = app_session(cache_dir=cache_dir, jobs=2,
-                             executor="process", shard_size=100)
-        run_scenario("dot-cbe", "Titan", runs=200, seed=2, engine="batch",
-                     session=pooled)
-        assert pooled.stats.plan_cache_hits >= 1
-        assert pooled.stats.plan_cache_misses == 0
+        assert on_disk.stats.executed == 1
+        assert "plans" not in os.listdir(tmp_path)

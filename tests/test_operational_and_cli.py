@@ -222,6 +222,15 @@ class TestCli:
         with pytest.raises(SystemExit):
             parser.parse_args(command + ["--executor", "fiber"])
 
+    def test_run_soundness_executor_default_matches_cli(self):
+        import inspect
+        from repro.api.conformance import run_soundness
+        from repro.cli import build_parser
+        library_default = inspect.signature(run_soundness).parameters[
+            "executor"].default
+        cli_default = build_parser().parse_args(["soundness"]).executor
+        assert library_default == cli_default == "process"
+
 
 def _malformed_test_file(tmp_path, kind):
     """A path ``repro-litmus`` cannot load a test from, of one kind."""
