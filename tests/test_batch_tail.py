@@ -10,10 +10,11 @@ numpy dispatch.  Its contracts, enforced here:
 * the tailed stream stays **distribution-equivalent** to the fast
   engine (TVD inside the sampling envelope, loss verdicts agreeing) on
   the spin-heavy scenarios the hand-off exists for;
-* results are deterministic per seed and invariant across the
-  session's jobs/executor decomposition, including a disk-backed
-  process pool whose workers each lower the cell themselves and leave
-  nothing but result entries in the cache directory.
+* results are deterministic per seed (two lowerings of one cell draw
+  the same stream) and invariant across the session's jobs/executor
+  decomposition, including a disk-backed process pool whose workers
+  each lower the cell themselves and leave nothing but result entries
+  in the cache directory.
 """
 
 import hashlib
@@ -110,6 +111,17 @@ class TestTailDeterminism:
                 first = histogram.counts
         assert histogram.counts == first
 
+    @pytest.mark.parametrize("name,chip", (("mp", "Titan"), ("sb", "GTX5")))
+    def test_independent_lowerings_draw_the_same_stream(self, name, chip):
+        """Each worker lowers its own cell, so two lowerings of one cell
+        must be interchangeable: same seed, same histogram."""
+        test = library.build(name)
+        first = compile_batch_cell(test, CHIPS[chip])
+        second = compile_batch_cell(test, CHIPS[chip])
+        a = run_batch(first, 2000, random.Random(3))
+        b = run_batch(second, 2000, random.Random(3))
+        assert a.counts == b.counts
+
     def test_jobs_and_executor_invariant(self, tmp_path):
         kwargs = dict(runs=600, seed=3, engine="batch")
         serial = app_session(cache=False, shard_size=150)
@@ -126,3 +138,43 @@ class TestTailDeterminism:
         assert serial.stats.shards_executed == 4  # ceil(600 / 150)
         assert on_disk.stats.executed == 1
         assert "plans" not in os.listdir(tmp_path)
+
+
+class TestProcessPoolResultCache:
+    """A disk-backed process pool caches results only: a warm session
+    replays the cold histogram without executing a cell, and the cache
+    directory never grows a ``plans/`` entry."""
+
+    @pytest.mark.parametrize("engine", (
+        "fast", pytest.param("batch", marks=requires_numpy)))
+    def test_cold_then_warm(self, tmp_path, engine):
+        kwargs = dict(runs=300, seed=1, engine=engine)
+        cold = app_session(cache_dir=str(tmp_path), shard_size=150, jobs=2,
+                           executor="process")
+        first = run_scenario("dot-cbe", "Titan", session=cold, **kwargs)
+        assert cold.stats.executed == 1
+        warm = app_session(cache_dir=str(tmp_path), shard_size=150, jobs=2,
+                           executor="process")
+        second = run_scenario("dot-cbe", "Titan", session=warm, **kwargs)
+        assert second.cached
+        assert warm.stats.executed == 0
+        assert second.histogram.counts == first.histogram.counts
+        for stats in (cold.stats.snapshot(), warm.stats.snapshot()):
+            assert stats["plan_cache_hits"] == 0
+            assert stats["plan_cache_misses"] == 0
+        assert "plans" not in os.listdir(tmp_path)
+
+    def test_leftover_plan_directory_is_ignored(self, tmp_path):
+        """A cache directory written by an older release may still hold
+        pickled plans; they are neither read nor a reason to fail."""
+        plans = tmp_path / "plans"
+        plans.mkdir()
+        (plans / "0123abcd.plan").write_bytes(b"not a pickle")
+        kwargs = dict(runs=300, seed=1, engine="fast")
+        serial = app_session(cache=False, shard_size=150)
+        expected = run_scenario("dot-cbe", "Titan", session=serial, **kwargs)
+        session = app_session(cache_dir=str(tmp_path), jobs=2,
+                              executor="process", shard_size=150)
+        result = run_scenario("dot-cbe", "Titan", session=session, **kwargs)
+        assert result.histogram.counts == expected.histogram.counts
+        assert (plans / "0123abcd.plan").read_bytes() == b"not a pickle"
