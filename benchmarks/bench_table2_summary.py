@@ -5,23 +5,22 @@ simulator observations, model verdicts, app clients, or compiler checks.
 """
 
 from repro._util import format_table
-from repro.apps import lb_scenario, mp_scenario
+from repro.apps import run_scenario
 from repro.compiler import (FENCE_REMOVED, LOAD_CAS_REORDERED,
                             compile_opencl_thread, effective_litmus)
 from repro.errors import OptcheckViolation
-from repro.harness import run_paper_config
 from repro.litmus import library
 from repro.ptx import Addr, Ld, Loc, Reg
 from repro.ptx.program import ThreadProgram
 from repro.ptx.types import Scope
 from repro.compiler import optcheck
 
-from _common import iterations, report
+from _common import iterations, report, session
 
 
 def _observed(name, chip, iters, seed=0):
-    return run_paper_config(library.build(name), chip,
-                            iterations=iters, seed=seed).observations > 0
+    return session().run(library.build(name), chip, iterations=iters,
+                         seed=seed).observations > 0
 
 
 def test_table2_summary(benchmark):
@@ -34,20 +33,20 @@ def test_table2_summary(benchmark):
                      _observed("coRR", "TesC", iters)
                      and _observed("coRR", "Titan", iters)))
         # Fermi: fences do not restore mp-L1 / coRR-L2-L1 orderings.
-        mp_l1_sys = run_paper_config(library.mp_l1(fence=Scope.SYS), "TesC",
-                                     iterations=max(iters, 20000), seed=1)
-        corr_l21_sys = run_paper_config(library.corr_l2_l1(fence=Scope.SYS),
-                                        "TesC", iterations=iters, seed=1)
+        mp_l1_sys = session().run(library.mp_l1(fence=Scope.SYS), "TesC",
+                                  iterations=max(iters, 20000), seed=1)
+        corr_l21_sys = session().run(library.corr_l2_l1(fence=Scope.SYS),
+                                     "TesC", iterations=iters, seed=1)
         rows.append(("Fermi (TesC)", "mp-L1, coRR-L2-L1 under membar.sys",
                      mp_l1_sys.observations > 0 and corr_l21_sys.observations > 0))
         # PTX ISA: volatile does not restore SC.
         rows.append(("PTX ISA", "mp-volatile",
                      _observed("mp-volatile", "GTX5", iters)))
         # GPU Computing Gems: fenceless deque loses tasks.
-        lost_mp, _ = mp_scenario("Titan", fenced=False, runs=800, seed=1,
-                                 intensity=60.0)
-        lost_lb, _ = lb_scenario("Titan", fenced=False, runs=800, seed=1,
-                                 intensity=60.0)
+        lost_mp = run_scenario("deque-mp", "Titan", runs=800, seed=1,
+                               intensity=60.0).observations
+        lost_lb = run_scenario("deque-lb", "Titan", runs=800, seed=1,
+                               intensity=60.0).observations
         rows.append(("GPU Computing Gems", "dlb-lb, dlb-mp",
                      lost_mp > 0 and lost_lb > 0))
         # CUDA by Example: fenceless lock reads stale values.

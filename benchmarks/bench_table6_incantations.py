@@ -12,10 +12,10 @@ Reproduces the headline qualitative findings of Sec. 4.3:
 """
 
 from repro._util import format_table
-from repro.harness import ALL_COMBINATIONS, TABLE6, run_litmus
+from repro.harness import ALL_COMBINATIONS, TABLE6
 from repro.litmus import library
 
-from _common import assert_shape, iterations, report
+from _common import assert_shape, iterations, report, session
 
 _TESTS = {
     "coRR": lambda: library.corr(placement="intra-cta"),
@@ -36,8 +36,9 @@ def test_table6_incantations(benchmark):
                 test = build()
                 row = []
                 for incantations in ALL_COMBINATIONS:
-                    result = run_litmus(test, chip, incantations=incantations,
-                                        iterations=per_cell, seed=3)
+                    result = session().run(test, chip,
+                                           incantations=incantations,
+                                           iterations=per_cell, seed=3)
                     row.append(result.per_100k)
                 measured[(chip, name)] = row
         return measured

@@ -7,7 +7,7 @@ hardware guarantee; the harness runs it 100k times under incantations;
 the model says whether the observed behaviour is allowed.
 """
 
-from repro.harness import run_paper_config
+from repro.api import Session
 from repro.litmus import parse_litmus
 from repro.model.models import ptx_model, sc_model
 
@@ -32,7 +32,8 @@ def main():
     # 1. Run on a simulated GTX Titan under the paper's most effective
     #    incantations (Sec. 4.3).  The weak outcome shows up at a rate
     #    comparable to the paper's Table 6 mp row.
-    result = run_paper_config(test, "Titan", iterations=20000, seed=42)
+    session = Session()
+    result = session.run(test, "Titan", iterations=20000, seed=42)
     print(result.histogram.pretty(test.condition))
     print(result.summary())
     print()
@@ -48,7 +49,7 @@ def main():
     from repro.litmus import library
     from repro.ptx.types import Scope
     fixed = library.mp(fence0=Scope.GL, fence1=Scope.GL)
-    fixed_result = run_paper_config(fixed, "Titan", iterations=20000, seed=42)
+    fixed_result = session.run(fixed, "Titan", iterations=20000, seed=42)
     print()
     print("with membar.gl fences: %d weak outcomes in %d runs; model: %s"
           % (fixed_result.observations, fixed_result.iterations,

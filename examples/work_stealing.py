@@ -16,9 +16,9 @@ TeraScale 2 *compiler* bug that invalidated dlb-lb on the HD 6570 (the
 "n/a" in Fig. 8).
 """
 
+from repro.api import Session
 from repro.apps import run_app_campaign, select_scenarios
 from repro.compiler import LOAD_CAS_REORDERED, effective_litmus
-from repro.harness import run_paper_config
 from repro.litmus import library
 
 STRESS = 100.0
@@ -40,10 +40,11 @@ def main():
     print()
     print("distilled litmus tests (paper rates per 100k: dlb-mp Titan 65,")
     print("dlb-lb Titan 2292, dlb-lb HD7970 13591):")
+    session = Session()
     for name, chip in [("dlb-mp", "Titan"), ("dlb-lb", "Titan"),
                        ("dlb-lb", "HD7970")]:
-        result = run_paper_config(library.build(name), chip,
-                                  iterations=20000, seed=3)
+        result = session.run(library.build(name), chip, iterations=20000,
+                             seed=3)
         print("  %s" % result.summary())
 
     print()

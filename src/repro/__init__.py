@@ -16,8 +16,8 @@ The package provides:
   cycles;
 * :mod:`repro.sim` — an operational GPU simulator standing in for the
   paper's hardware;
-* :mod:`repro.harness` — the 100k-iteration test runner with incantations
-  (now thin wrappers over :mod:`repro.api`);
+* :mod:`repro.harness` — incantations, outcome histograms and
+  paper-style report tables;
 * :mod:`repro.compiler` — CUDA→PTX mapping, the SASS pipeline, optcheck
   and the AMD OpenCL compilers;
 * :mod:`repro.apps` — the published GPU applications the paper studies.

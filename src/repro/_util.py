@@ -69,6 +69,16 @@ def env_int(name, fallback, minimum=1):
     return max(parsed, minimum)
 
 
+def default_iterations(fallback=10000):
+    """Iteration count for runs that name none: ``REPRO_ITERS`` env or
+    ``fallback``.
+
+    A non-integer value fails fast with a clear
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    return env_int("REPRO_ITERS", fallback)
+
+
 def format_table(headers, rows, *, sep="  "):
     """Render ``rows`` (sequences of cells) under ``headers`` as plain text.
 

@@ -34,6 +34,7 @@ contradiction.
 
 from dataclasses import dataclass, field
 
+from .._util import default_iterations
 from ..litmus import library
 from ..model.models import load_model
 from .races import CLEAN, analyze_test
@@ -105,7 +106,6 @@ def check_scenarios(scenarios=None, chips=None, runs=None, seed=0,
     """
     from ..apps.campaign import app_session, run_app_campaign
     from ..apps.scenario import SCENARIOS, STRESS
-    from ..harness.runner import default_iterations
     from ..sim.chip import RESULT_CHIPS
 
     if scenarios is None:

@@ -132,10 +132,6 @@ class AnalysisReport:
     def racy_pairs(self):
         return [pair for pair in self.pairs if pair.verdict == RACY]
 
-    @property
-    def unknown_pairs(self):
-        return [pair for pair in self.pairs if pair.verdict == UNKNOWN]
-
     def summary(self):
         counts = {}
         for pair in self.pairs:

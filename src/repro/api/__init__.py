@@ -1,8 +1,7 @@
 """repro.api — the unified execution front door.
 
 Everything that *runs* litmus tests goes through this package: the CLI,
-the harness's backwards-compatible wrappers and the figure benchmarks
-all build :class:`RunSpec` plans and hand them to a :class:`Session`,
+the examples and the figure benchmarks all build :class:`RunSpec` plans and hand them to a :class:`Session`,
 which shards the work across a pool, merges histograms
 deterministically and memoises completed specs by content fingerprint.
 

@@ -20,8 +20,8 @@ and analysis backends).  Two implementations ship here:
   checking share one request/result shape (cf. GPUMC's unified driver).
 
 Shard seeding.  Shard 0 always uses the spec's own seed with a fresh
-``random.Random`` — for a single-shard run this reproduces the legacy
-``run_litmus`` iteration stream exactly.  Later shards derive their
+``random.Random`` — for a single-shard run this is the stream of a plain
+serial loop over ``Random(seed)``.  Later shards derive their
 seeds from the spec fingerprint and the shard index via SHA-256, so the
 decomposition depends only on the spec and the shard size, never on the
 worker count or execution order.

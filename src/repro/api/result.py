@@ -29,7 +29,7 @@ class SpecResult:
     histogram: object
     cached: bool = False           #: satisfied from the result cache?
 
-    # -- spec delegation (RunResult-compatible surface) -------------------
+    # -- spec delegation --------------------------------------------------
 
     @property
     def test(self):

@@ -13,7 +13,8 @@ with identical content hash identically across processes and sessions
 import hashlib
 from dataclasses import dataclass, replace
 
-from ..errors import ReproError
+from .._util import default_iterations
+from ..errors import ConfigurationError, ReproError
 from ..harness.incantations import Incantations, best_for
 from ..litmus import library
 from ..litmus.writer import write_litmus
@@ -33,8 +34,9 @@ def resolve_chip(chip):
     try:
         return CHIPS[chip]
     except KeyError:
-        raise ReproError("unknown chip %r; known: %s"
-                         % (chip, ", ".join(sorted(CHIPS)))) from None
+        raise ConfigurationError(
+            "unknown chip %r; valid chips: %s"
+            % (chip, ", ".join(sorted(CHIPS)))) from None
 
 
 def resolve_test(name):
@@ -160,8 +162,6 @@ class RunSpec:
         >>> spec.engine
         'fast'
         """
-        from ..harness.runner import default_iterations
-
         if isinstance(test, str):
             test = resolve_test(test)
         chip = resolve_chip(chip)
@@ -178,9 +178,6 @@ class RunSpec:
     def key(self):
         """The campaign grid key: ``(test name, chip short)``."""
         return (self.test.name, self.chip.short)
-
-    def with_iterations(self, iterations):
-        return replace(self, iterations=int(iterations))
 
     def with_engine(self, engine):
         return replace(self, engine=resolve_engine(engine))

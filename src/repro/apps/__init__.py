@@ -1,41 +1,34 @@
 """Published GPU applications the paper studies, on the simulator.
 
-Three layers:
+Two layers:
 
-* :mod:`~repro.apps.runtime` — the mini CUDA runtime (``Grid``,
-  ``launch``) for one-off launches;
 * :mod:`~repro.apps.scenario` — the declarative scenario corpus
   (kernels + init memory + placement + projection + loss predicate) and
-  its registry;
+  its registry, built from the lock and deque kernels of
+  :mod:`~repro.apps.spinlock` and :mod:`~repro.apps.deque`;
 * :mod:`~repro.apps.campaign` / :mod:`~repro.apps.backend` — scenario
   campaigns on the sharded, memoising ``repro.api`` Session stack.
 """
 
-from .deque import (lb_scenario, mp_scenario, owner_roundtrip_kernel,
-                    pop_then_push_kernel, push_kernel, roundtrip_scenario,
-                    steal_kernel, thief_roundtrip_kernel)
-from .runtime import Grid, LaunchResult, build_launch_test, launch
-from .spinlock import (LOCKS, cuda_by_example_lock, dot_product, he_yu_lock,
-                       isolation_test, stuart_owens_lock, ticket_counter,
-                       ticket_kernel)
+from .deque import (owner_roundtrip_kernel, pop_then_push_kernel,
+                    push_kernel, steal_kernel, thief_roundtrip_kernel)
+from .spinlock import (LOCKS, cuda_by_example_lock, he_yu_lock,
+                       stuart_owens_lock, ticket_kernel)
 from .scenario import (DEFAULT_RUNS, FAMILIES, SCENARIOS, STRESS, Scenario,
-                       ScenarioSpec, dot_product_scenario, get_scenario,
-                       select_scenarios)
+                       ScenarioSpec, build_launch_test, dot_product_scenario,
+                       get_scenario, select_scenarios)
 from .backend import DEFAULT_APP_SHARD_SIZE, AppBackend
 from .campaign import (app_matrix, app_session, run_app_campaign,
                        run_scenario)
 
 __all__ = [
-    "lb_scenario", "mp_scenario", "owner_roundtrip_kernel",
-    "pop_then_push_kernel", "push_kernel", "roundtrip_scenario",
+    "owner_roundtrip_kernel", "pop_then_push_kernel", "push_kernel",
     "steal_kernel", "thief_roundtrip_kernel",
-    "Grid", "LaunchResult", "build_launch_test", "launch",
-    "LOCKS", "cuda_by_example_lock", "dot_product", "he_yu_lock",
-    "isolation_test", "stuart_owens_lock", "ticket_counter",
+    "LOCKS", "cuda_by_example_lock", "he_yu_lock", "stuart_owens_lock",
     "ticket_kernel",
     "DEFAULT_RUNS", "FAMILIES", "SCENARIOS", "STRESS", "Scenario",
-    "ScenarioSpec", "dot_product_scenario", "get_scenario",
-    "select_scenarios",
+    "ScenarioSpec", "build_launch_test", "dot_product_scenario",
+    "get_scenario", "select_scenarios",
     "DEFAULT_APP_SHARD_SIZE", "AppBackend",
     "app_matrix", "app_session", "run_app_campaign", "run_scenario",
 ]

@@ -11,8 +11,9 @@ scenarios exist:
 * **sharding** — a spec's launches split into fixed-size shards through
   the shared planner (:func:`repro.api.backends.plan_shards`); shard 0
   runs on the spec's own seed, so a single-shard campaign cell consumes
-  the exact ``Random`` stream of ``Grid.launch_many`` (driver parity),
-  and later shards derive their seeds from the fingerprint.
+  the exact ``Random(seed)`` stream of one
+  :func:`~repro.sim.engine.run_batch` over the cell, and later shards
+  derive their seeds from the fingerprint.
 * **engines** — ``spec.engine`` picks ``fast`` (one
   :func:`repro.sim.compile.compile_cell` per scenario x chip x
   intensity, memoised per worker thread and reused across shards; the
@@ -46,7 +47,7 @@ from ..sim.compile import compile_cell  # noqa: F401
 #: critical sections), so app campaigns shard finer than the sim
 #: backend's 25k: a paper-scale 100k-launch cell splits into ten
 #: parallelisable shards while every interactive/test-sized cell still
-#: fits in one shard and reproduces the serial driver stream exactly.
+#: fits in one shard and reproduces a serial ``Random(seed)`` loop exactly.
 #: The batch engine sizes its own chunks adaptively from the cell's
 #: retirement profile (see :func:`repro.sim.batch.compile_batch_cell`),
 #: so the shard is a pure parallelism granule — wide shards keep the

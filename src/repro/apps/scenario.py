@@ -37,12 +37,16 @@ bit-identity and fast/batch distribution contracts testable).
 import hashlib
 from dataclasses import dataclass, replace
 
+from ..api.spec import resolve_chip
+from ..compiler.cuda import compile_kernel
 from ..errors import ConfigurationError, ReproError
-from ..litmus.condition import And, Condition, FinalState, MemEq, Not, Or
+from ..hierarchy import MemoryMap, ScopeTree
+from ..litmus.condition import (And, Condition, FinalState, MemEq, Not, Or,
+                                trivial_condition)
+from ..litmus.test import LitmusTest
 from ..litmus.writer import write_litmus
 from ..sim.chip import ChipProfile
 from ..sim.engine import resolve_engine
-from .runtime import _as_chip, build_launch_test
 from .deque import (HEAD, TAIL, TAIL2, TASK, TASK2, owner_roundtrip_kernel,
                     pop_then_push_kernel, push_kernel, steal_kernel,
                     thief_roundtrip_kernel)
@@ -62,6 +66,29 @@ DEFAULT_RUNS = 300
 
 def _exists(expr):
     return Condition("exists", expr)
+
+
+def build_launch_test(kernels, init_mem, condition=None, placement="inter-cta",
+                      shared=(), name="kernel-launch"):
+    """Lower CUDA-eDSL kernels into a launch-shaped :class:`LitmusTest`.
+
+    One kernel per thread, placed per ``placement``
+    (``inter-cta``/``intra-cta``/``intra-warp``).  ``condition`` defaults
+    to the trivial (always-true) condition — a plain launch asserts
+    nothing; scenarios install their loss predicate here so histogram
+    observation counts read as loss counts.
+    """
+    if not init_mem:
+        raise ValueError("a launch needs at least one memory location")
+    programs = tuple(compile_kernel(kernel, tid)
+                     for tid, kernel in enumerate(kernels))
+    names = [program.name for program in programs]
+    return LitmusTest(
+        name=name, threads=programs,
+        scope_tree=ScopeTree.for_threads(names, placement),
+        memory_map=MemoryMap({location: "shared" for location in shared}),
+        init_mem=dict(init_mem),
+        condition=condition if condition is not None else trivial_condition())
 
 
 @dataclass(frozen=True)
@@ -190,7 +217,7 @@ class ScenarioSpec:
         and ``chip`` a Table 1 short name."""
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
-        chip = _as_chip(chip)
+        chip = resolve_chip(chip)
         if runs is None:
             runs = DEFAULT_RUNS
         if runs < 1:
@@ -222,9 +249,6 @@ class ScenarioSpec:
 
     def with_engine(self, engine):
         return replace(self, engine=resolve_engine(engine))
-
-    def with_runs(self, runs):
-        return replace(self, iterations=int(runs))
 
     def fingerprint(self):
         """Stable content hash (hex digest), memoised.

@@ -18,10 +18,8 @@ ticket-lock counter client (plain-store handoff between tickets — the
 same unfenced release-vs-critical-section race, without any atomic in
 the release path).
 
-The clients (:func:`dot_product`, :func:`isolation_test`) are thin
-wrappers over the declarative registry of :mod:`repro.apps.scenario`,
-executed through the sharded, memoising campaign pipeline of
-:mod:`repro.apps.campaign`.
+The registry of :mod:`repro.apps.scenario` builds the dot-product,
+isolation and ticket clients from these kernels.
 """
 
 from ..compiler.cuda import (AddTo, AtomicCas, AtomicExchange, Cond, If,
@@ -129,74 +127,6 @@ def ticket_kernel(ticket, local_value, fenced):
         statements.append(Threadfence())
     statements.append(Store(SERVING, ticket + 1, volatile=True))
     return Kernel(statements)
-
-
-def _lock_key(lock_builder):
-    for key, builder in LOCKS.items():
-        if builder is lock_builder:
-            return key
-    return None
-
-
-def dot_product(chip, lock_builder, fenced, locals_=(5, 7), runs=200, seed=0,
-                intensity=1.0, engine=None, jobs=1, session=None,
-                placement="inter-cta"):
-    """The paper's dot-product client: each CTA adds its partial sum to a
-    global total under the lock.
-
-    Returns ``(wrong_results, runs)``: how many launches produced a final
-    sum different from ``sum(locals_)`` — the "incorrect results" the
-    broken locks permit (Sec. 3.2.2).
-    """
-    from .campaign import run_scenario
-    from .scenario import dot_product_scenario
-
-    key = _lock_key(lock_builder)
-    if key is not None:
-        scenario = dot_product_scenario(key, fenced, placement=placement,
-                                        locals_=tuple(locals_))
-    else:
-        # An unregistered lock builder: build an ad-hoc scenario around it.
-        from .scenario import make_dot_scenario
-        scenario = make_dot_scenario("dot-custom", lock_builder, fenced,
-                                     placement=placement,
-                                     locals_=tuple(locals_))
-    result = run_scenario(scenario, chip, runs=runs, seed=seed,
-                          intensity=intensity, engine=engine, jobs=jobs,
-                          session=session)
-    return result.observations, runs
-
-
-def ticket_counter(chip, fenced, locals_=(5, 7), runs=200, seed=0,
-                   intensity=1.0, engine=None, jobs=1, session=None):
-    """The ticket-lock counter client.  Returns ``(wrong_results, runs)``."""
-    from .campaign import run_scenario
-    from .scenario import get_scenario, ticket_counter_scenario
-
-    if tuple(locals_) == (5, 7):  # the registry's canonical client
-        scenario = get_scenario("ticket" + ("+fenced" if fenced else ""))
-    else:
-        scenario = ticket_counter_scenario(fenced, locals_=tuple(locals_))
-    result = run_scenario(scenario, chip, runs=runs, seed=seed,
-                          intensity=intensity, engine=engine, jobs=jobs,
-                          session=session)
-    return result.observations, runs
-
-
-def isolation_test(chip, fixed, runs=200, seed=0, intensity=1.0, engine=None,
-                   jobs=1, session=None):
-    """The He-Yu isolation scenario (Fig. 11 distilled back into CUDA).
-
-    T0 holds the lock, reads ``x`` inside its critical section, releases.
-    T1 acquires and writes ``x`` in the *next* critical section.  Under
-    the buggy lock T0 can read T1's *future* value — an isolation
-    violation.  Returns ``(violations, runs)``.
-    """
-    from .campaign import run_scenario
-    result = run_scenario("isolation" + ("+fenced" if fixed else ""), chip,
-                          runs=runs, seed=seed, intensity=intensity,
-                          engine=engine, jobs=jobs, session=session)
-    return result.observations, runs
 
 
 def reader_kernel(fixed):

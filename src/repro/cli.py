@@ -82,6 +82,7 @@ import argparse
 import os
 import sys
 
+from ._util import default_iterations
 from .api import Session
 from .api.conformance import SOUNDNESS_CHIPS, run_soundness
 from .api.result import CampaignResult
@@ -90,7 +91,6 @@ from .apps import (FAMILIES, SCENARIOS, STRESS, app_matrix, app_session,
 from .diy import (default_pool, fences_from_names, generate_tests,
                   scopes_from_names)
 from .errors import ReproError
-from .harness.runner import default_iterations
 from .litmus import library, parse_litmus, write_litmus
 from .model.dot import weak_witness_dot
 from .model.models import MODELS, load_model

@@ -7,9 +7,9 @@ def figure_table(title, rows, chips, results, paper=None):
     """Render an obs/100k table like the bottom of Figs. 1-11.
 
     ``rows`` is a list of (row label, test name) pairs; ``results`` maps
-    ``(test name, chip short)`` to RunResult; ``paper`` optionally maps
-    the same keys to the paper's published counts, rendered alongside as
-    ``sim (paper N)``.
+    ``(test name, chip short)`` to a :class:`~repro.api.result.SpecResult`;
+    ``paper`` optionally maps the same keys to the paper's published
+    counts, rendered alongside as ``sim (paper N)``.
     """
     headers = ["obs/100k"] + list(chips)
     body = []

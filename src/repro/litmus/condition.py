@@ -42,9 +42,6 @@ class FinalState:
                 return value
         raise KeyError(name)
 
-    def reg_dict(self):
-        return dict(self.regs)
-
     def mem_dict(self):
         return dict(self.mem)
 
@@ -227,10 +224,10 @@ class Condition:
 def trivial_condition():
     """The trivial (always-true) condition: ``forall (true)``.
 
-    Application launches (:class:`repro.apps.runtime.Grid`) assert
-    nothing about their final state — callers inspect the returned
-    memory image instead.  This is the explicit constructor for that
-    case, replacing ad-hoc placeholder conditions: it holds for every
+    A plain kernel launch (:func:`repro.apps.scenario.build_launch_test`
+    without a loss predicate) asserts nothing about its final state.
+    This is the explicit constructor for that case, replacing ad-hoc
+    placeholder conditions: it holds for every
     outcome, quantifies over nothing, and mentions no registers or
     locations (so the machine observes no registers on its behalf).
     """

@@ -144,8 +144,8 @@ def run_iterations(test, chip, iterations, seed=0, intensity=1.0,
                    stale_intensity=None, shuffle_placement=False,
                    engine=None):
     """Convenience: run ``iterations`` runs, returning a histogram dict
-    ``FinalState -> count``.  (The full-featured runner with incantations
-    lives in :mod:`repro.harness.runner`.)
+    ``FinalState -> count``.  (Runs with incantations, sharding and
+    caching go through :class:`repro.api.Session`.)
 
     ``engine`` picks the execution engine: ``"fast"`` runs the
     compiled cell of :mod:`repro.sim.compile` (bit-identical to

@@ -1,15 +1,18 @@
 """Tests for the repro.api execution layer: specs, backends, sharding,
 sessions, caching and campaign aggregation."""
 
+import random
+
 import pytest
 
 from repro.api import (BEST, CampaignResult, ModelBackend, ResultCache,
                        RunSpec, Session, SimBackend, make_backend, matrix,
                        parse_incantations, plan_shards, shard_seed)
 from repro.errors import ReproError
-from repro.harness import Histogram, Incantations, run_litmus
+from repro.harness import Histogram, Incantations, efficacy
 from repro.litmus import library
 from repro.model.models import load_model
+from repro.sim import compile_cell, run_batch
 
 
 def spec_for(name="mp", chip="Titan", iterations=300, seed=3,
@@ -145,16 +148,19 @@ class TestDeterministicParallelism:
                       for jobs in (1, 2, 7)]
         assert histograms[0] == histograms[1] == histograms[2]
 
-    def test_single_shard_matches_legacy_runner_stream(self):
+    def test_single_shard_matches_serial_stream(self):
         """Shard 0 reuses the spec seed, so a one-shard session run is
-        bit-identical to the pre-api serial loop (and to run_litmus)."""
+        bit-identical to one serial loop over ``Random(seed)``."""
         test = library.build("mp")
-        wrapped = run_litmus(test, "Titan", incantations=Incantations.all(),
-                             iterations=400, seed=11)
-        direct = Session(cache=False).run(
-            RunSpec.make(test, "Titan", incantations=Incantations.all(),
-                         iterations=400, seed=11))
-        assert wrapped.histogram.counts == direct.histogram.counts
+        spec = RunSpec.make(test, "Titan", incantations=Incantations.all(),
+                            iterations=400, seed=11, engine="fast")
+        cell = compile_cell(test, spec.chip,
+                            intensity=efficacy(spec.chip.vendor, "mp",
+                                               spec.incantations),
+                            shuffle_placement=True)
+        serial = run_batch(cell, 400, random.Random(11))
+        direct = Session(cache=False).run(spec)
+        assert direct.histogram.counts == serial.counts
 
 
 class TestCaching:

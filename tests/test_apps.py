@@ -2,78 +2,72 @@
 
 import pytest
 
-from repro.apps import (Grid, cuda_by_example_lock, dot_product, he_yu_lock,
-                        isolation_test, launch, lb_scenario, mp_scenario,
-                        stuart_owens_lock)
+from repro.apps import Scenario, build_launch_test, he_yu_lock, run_scenario
 from repro.compiler.cuda import Kernel, Load, Store
+from repro.litmus.condition import Condition, MemEq, Not
 
 #: High intensity stands in for the paper's stressful workloads: the app
 #: bugs occur at 4-750 per 100k on hardware, far below unit-test budgets.
 STRESS = 100.0
 
 
+def losses(name, chip, runs, seed, intensity=STRESS):
+    """Loss count of one registry scenario cell."""
+    return run_scenario(name, chip, runs=runs, seed=seed,
+                        intensity=intensity).observations
+
+
 class TestRuntime:
     def test_launch_returns_final_memory(self):
-        result = launch([Kernel([Store("x", 1)]), Kernel([Load("v", "x")])],
-                        "GTX7", init_mem={"x": 0})
-        assert result["x"] == 1
+        scenario = Scenario.make(
+            "store-load", "store-load", False,
+            kernels=[Kernel([Store("x", 1)]), Kernel([Load("v", "x")])],
+            init_mem={"x": 0}, loss=Condition("exists", Not(MemEq("x", 1))))
+        result = run_scenario(scenario, "GTX7", runs=20, seed=0,
+                              intensity=1.0)
+        assert result.observations == 0
+        assert [state.loc("x") for state in result.histogram.counts] == [1]
 
     def test_empty_memory_rejected(self):
         with pytest.raises(ValueError):
-            launch([Kernel([Store("x", 1)])], "GTX7", init_mem={})
+            build_launch_test([Kernel([Store("x", 1)])], init_mem={})
 
     def test_launch_many_deterministic(self):
-        grid = Grid([Kernel([Store("x", 1)])], "Titan", init_mem={"x": 0})
-        a = [r.memory for r in grid.launch_many(5, seed=1)]
-        b = [r.memory for r in grid.launch_many(5, seed=1)]
-        assert a == b
+        first, second = (run_scenario("deque-mp", "Titan", runs=50, seed=1)
+                         for _ in range(2))
+        assert not second.cached
+        assert first.histogram.counts == second.histogram.counts
 
 
 class TestCudaByExampleLock:
     def test_buggy_lock_loses_updates_on_weak_chips(self):
-        wrong, runs = dot_product("Titan", cuda_by_example_lock, fenced=False,
-                                  runs=200, seed=1, intensity=STRESS)
-        assert wrong > 0
+        assert losses("dot-cbe", "Titan", runs=200, seed=1) > 0
 
     def test_fenced_lock_always_correct(self):
-        wrong, _ = dot_product("Titan", cuda_by_example_lock, fenced=True,
-                               runs=200, seed=1, intensity=STRESS)
-        assert wrong == 0
+        assert losses("dot-cbe+fenced", "Titan", runs=200, seed=1) == 0
 
     def test_maxwell_unaffected(self):
         # GTX 750 orders atomics: the published lock happens to work.
-        wrong, _ = dot_product("GTX7", cuda_by_example_lock, fenced=False,
-                               runs=200, seed=1, intensity=STRESS)
-        assert wrong == 0
+        assert losses("dot-cbe", "GTX7", runs=200, seed=1) == 0
 
     def test_amd_also_affected(self):
-        wrong, _ = dot_product("HD7970", cuda_by_example_lock, fenced=False,
-                               runs=200, seed=1, intensity=STRESS)
-        assert wrong > 0
+        assert losses("dot-cbe", "HD7970", runs=200, seed=1) > 0
 
 
 class TestStuartOwensLock:
     def test_exchange_is_no_substitute_for_a_fence(self):
-        wrong, _ = dot_product("Titan", stuart_owens_lock, fenced=False,
-                               runs=200, seed=2, intensity=STRESS)
-        assert wrong > 0
+        assert losses("dot-so", "Titan", runs=200, seed=2) > 0
 
     def test_fenced_version_correct(self):
-        wrong, _ = dot_product("Titan", stuart_owens_lock, fenced=True,
-                               runs=200, seed=2, intensity=STRESS)
-        assert wrong == 0
+        assert losses("dot-so+fenced", "Titan", runs=200, seed=2) == 0
 
 
 class TestHeYuLock:
     def test_isolation_violated_by_published_lock(self):
-        violations, _ = isolation_test("Titan", fixed=False, runs=200, seed=1,
-                                       intensity=STRESS)
-        assert violations > 0
+        assert losses("isolation", "Titan", runs=200, seed=1) > 0
 
     def test_fixed_lock_preserves_isolation(self):
-        violations, _ = isolation_test("Titan", fixed=True, runs=200, seed=1,
-                                       intensity=STRESS)
-        assert violations == 0
+        assert losses("isolation+fenced", "Titan", runs=200, seed=1) == 0
 
     def test_lock_shapes(self):
         acquire, release = he_yu_lock(fixed=False)
@@ -84,34 +78,23 @@ class TestHeYuLock:
 
 class TestWorkStealingDeque:
     def test_mp_bug_loses_pushed_task(self):
-        lost, _ = mp_scenario("Titan", fenced=False, runs=300, seed=1,
-                              intensity=STRESS)
-        assert lost > 0
+        assert losses("deque-mp", "Titan", runs=300, seed=1) > 0
 
     def test_mp_bug_fixed_by_fences(self):
-        lost, _ = mp_scenario("Titan", fenced=True, runs=300, seed=1,
-                              intensity=STRESS)
-        assert lost == 0
+        assert losses("deque-mp+fenced", "Titan", runs=300, seed=1) == 0
 
     def test_lb_bug_steals_future_push(self):
-        lost, _ = lb_scenario("Titan", fenced=False, runs=300, seed=1,
-                              intensity=STRESS)
-        assert lost > 0
+        assert losses("deque-lb", "Titan", runs=300, seed=1) > 0
 
     def test_lb_bug_fixed_by_fences(self):
-        lost, _ = lb_scenario("Titan", fenced=True, runs=300, seed=1,
-                              intensity=STRESS)
-        assert lost == 0
+        assert losses("deque-lb+fenced", "Titan", runs=300, seed=1) == 0
 
     def test_deque_safe_on_strong_chip(self):
-        lost, _ = mp_scenario("GTX280", fenced=False, runs=200, seed=1,
-                              intensity=STRESS)
-        assert lost == 0
-        lost, _ = lb_scenario("GTX280", fenced=False, runs=200, seed=1,
-                              intensity=STRESS)
-        assert lost == 0
+        assert losses("deque-mp", "GTX280", runs=200, seed=1) == 0
+        assert losses("deque-lb", "GTX280", runs=200, seed=1) == 0
 
     def test_lb_bug_on_gcn(self):
         # Fig. 8: HD7970 shows dlb-lb at 13591/100k — the strongest case.
-        lost, _ = lb_scenario("HD7970", fenced=False, runs=300, seed=1)
-        assert lost > 0
+        # So strong that it shows unstressed, at intensity 1.0.
+        assert losses("deque-lb", "HD7970", runs=300, seed=1,
+                      intensity=1.0) > 0

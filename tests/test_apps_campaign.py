@@ -6,16 +6,16 @@ Covers the PR's contracts:
   the chip table (bit-identical projected histograms, the interpreter
   side run by :class:`reference_backends.ReferenceAppBackend`);
 * sharded/serial and thread/process RNG-stream parity;
-* single-shard campaign cells reproduce the ``Grid.launch_many`` stream
-  (legacy driver parity);
+* a single-shard campaign cell reproduces one serial ``run_batch`` over
+  ``Random(seed)``;
 * two-tier cache-hit correctness for the app backend, including engine
   separation;
 * the paper's behaviours: every published (unfenced) scenario loses on
   the weak chips under stress, every fenced variant stays clean on the
   whole table;
-* the satellite fixes: ``_as_chip`` raises ``ConfigurationError``, the
-  trivial condition replaces the placeholder hack, ``repro-litmus app``
-  and the scenario listing work.
+* the satellite fixes: an unknown chip raises ``ConfigurationError``,
+  the trivial condition replaces the placeholder hack, ``repro-litmus
+  app`` and the scenario listing work.
 """
 
 import random
@@ -23,16 +23,19 @@ import random
 import pytest
 
 from repro import cli
-from repro.api import CampaignResult, Session, make_backend
+from repro.api import CampaignResult, Session, make_backend, run_soundness
 from repro.api.cache import ResultCache
-from repro.apps import (AppBackend, Grid, LaunchResult, SCENARIOS,
-                        ScenarioSpec, app_session, dot_product_scenario,
-                        get_scenario, launch, run_app_campaign,
-                        run_scenario, select_scenarios)
+from repro.apps import (AppBackend, SCENARIOS, ScenarioSpec, app_session,
+                        build_launch_test, dot_product_scenario,
+                        get_scenario, run_app_campaign, run_scenario,
+                        select_scenarios)
+from repro.apps.scenario import ticket_counter_scenario
 from repro.compiler.cuda import Kernel, Load, Store
 from repro.errors import ConfigurationError, ReproError
+from repro.exhaustive import verify_scenarios
+from repro.litmus import library
 from repro.litmus.condition import Always, trivial_condition
-from repro.sim import GpuMachine, have_numpy, run_batch
+from repro.sim import CHIPS, GpuMachine, compile_cell, have_numpy, run_batch
 from repro.sim.chip import RESULT_CHIPS
 from reference_backends import ReferenceAppBackend
 
@@ -172,16 +175,18 @@ class TestShardingParity:
         assert a.histogram.counts == b.histogram.counts
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_single_shard_reproduces_grid_stream(self, name):
-        """Legacy driver parity: one campaign shard == Grid.launch_many."""
+    def test_single_shard_reproduces_serial_stream(self, name):
+        """One campaign shard == one projected serial ``run_batch``."""
         scenario = SCENARIOS[name]
         spec = ScenarioSpec.make(scenario, "HD7970", runs=30, seed=7,
                                  intensity=STRESS, engine="fast")
-        result = app_session(cache=False).run_specs([spec])[0]
-        grid = Grid(list(scenario.kernels), "HD7970",
-                    dict(scenario.init_mem), placement=scenario.placement,
-                    intensity=STRESS, engine="fast")
-        expected = scenario.project_histogram(grid.launch_batch(30, seed=7))
+        session = app_session(cache=False)
+        result = session.run_specs([spec])[0]
+        assert session.stats.shards_executed == 1
+        cell = compile_cell(scenario.test(), CHIPS["HD7970"],
+                            intensity=STRESS)
+        expected = scenario.project_histogram(
+            run_batch(cell, 30, random.Random(7)))
         assert result.histogram.counts == expected.counts
 
 
@@ -266,55 +271,64 @@ class TestPaperBehaviours:
         assert "deque-mp+fenced" in table and "Titan" in table
 
 
-class TestRuntimeSatellites:
-    def test_unknown_chip_is_a_configuration_error(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            launch([Kernel([Store("x", 1)])], "GTX999", init_mem={"x": 0})
-        message = str(excinfo.value)
-        assert "GTX999" in message and "Titan" in message
+UNKNOWN_CHIP_ENTRY_POINTS = {
+    "Session.run": lambda chip: Session(cache=False).run("mp", chip,
+                                                         iterations=10),
+    "ScenarioSpec.make": lambda chip: ScenarioSpec.make("deque-mp", chip),
+    "run_app_campaign": lambda chip: run_app_campaign(["deque-mp"], [chip],
+                                                      runs=10),
+    "verify_scenarios": lambda chip: verify_scenarios(["deque-mp"], [chip]),
+    "run_soundness": lambda chip: run_soundness([library.build("mp")],
+                                                [chip], iterations=10),
+}
 
+
+@pytest.mark.parametrize("entry", sorted(UNKNOWN_CHIP_ENTRY_POINTS))
+def test_unknown_chip_is_a_configuration_error(entry):
+    """Every front door resolves chips through ``resolve_chip``."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        UNKNOWN_CHIP_ENTRY_POINTS[entry]("GTX999")
+    message = str(excinfo.value)
+    assert "\n" not in message
+    assert "GTX999" in message and "Titan" in message
+
+
+class TestRuntimeSatellites:
     def test_trivial_condition(self):
         condition = trivial_condition()
         assert isinstance(condition.expr, Always)
         assert condition.registers() == set()
         assert condition.locations() == set()
-        grid = Grid([Kernel([Store("x", 1)])], "GTX280", init_mem={"x": 0})
-        assert isinstance(grid.test.condition.expr, Always)
-        state = next(iter(grid.launch_batch(3, seed=0).counts))
+        test = build_launch_test([Kernel([Store("x", 1)])], {"x": 0})
+        assert isinstance(test.condition.expr, Always)
+        cell = compile_cell(test, CHIPS["GTX280"])
+        state = next(iter(run_batch(cell, 3, random.Random(0)).counts))
         assert condition.holds(state)
 
-    def test_launch_result_has_no_dead_iterations_field(self):
-        result = launch([Kernel([Store("x", 1)])], "GTX280",
-                        init_mem={"x": 0})
-        assert isinstance(result, LaunchResult)
-        assert not hasattr(result, "iterations")
-        assert result["x"] == 1
-
-    def test_grid_engines_bit_identical(self):
-        kernels = [Kernel([Store("x", 1)]), Kernel([Load("v", "x")])]
-        fast = Grid(kernels, "Titan", {"x": 0}, intensity=STRESS,
-                    engine="fast")
-        ref = GpuMachine(fast.test, fast.chip, intensity=STRESS)
-        assert (fast.launch_batch(50, seed=6).counts
+    def test_fast_cell_bit_identical_to_interpreter(self):
+        test = build_launch_test(
+            [Kernel([Store("x", 1)]), Kernel([Load("v", "x")])], {"x": 0})
+        fast = compile_cell(test, CHIPS["Titan"], intensity=STRESS)
+        ref = GpuMachine(test, CHIPS["Titan"], intensity=STRESS)
+        assert (run_batch(fast, 50, random.Random(6)).counts
                 == run_batch(ref, 50, random.Random(6)).counts)
 
     def test_custom_locals_build_adhoc_scenario(self):
-        from repro.apps import dot_product, cuda_by_example_lock
-        wrong, runs = dot_product("GTX280", cuda_by_example_lock,
-                                  fenced=False, locals_=(1, 2, 3), runs=20,
-                                  seed=1)
-        assert (wrong, runs) == (0, 20)
+        scenario = dot_product_scenario("cbe", fenced=False,
+                                        locals_=(1, 2, 3))
+        result = run_scenario(scenario, "GTX280", runs=20, seed=1,
+                              intensity=1.0)
+        assert (result.observations, result.iterations) == (0, 20)
 
     def test_ticket_counter_honours_locals(self):
-        from repro.apps import ticket_counter
         # A single ticket has no handoff race: always correct, unlike
         # the default two-ticket client under stress.
-        alone, _ = ticket_counter("Titan", fenced=False, locals_=(1,),
-                                  runs=50, seed=1, intensity=STRESS)
-        racing, _ = ticket_counter("Titan", fenced=False, runs=50, seed=1,
-                                   intensity=STRESS)
-        assert alone == 0
-        assert racing > 0
+        alone = run_scenario(ticket_counter_scenario(False, locals_=(1,)),
+                             "Titan", runs=50, seed=1, intensity=STRESS)
+        racing = run_scenario("ticket", "Titan", runs=50, seed=1,
+                              intensity=STRESS)
+        assert alone.observations == 0
+        assert racing.observations > 0
 
     def test_dot_product_scenario_unknown_lock(self):
         with pytest.raises(ConfigurationError):

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.api import Session
 from repro.errors import ConfigurationError
 from repro.litmus import library
 from repro.litmus.condition import FinalState, parse_condition
 from repro.harness import (ALL_COMBINATIONS, Histogram, Incantations, TABLE6,
-                           best_for, default_iterations, efficacy, run_litmus,
-                           run_paper_config)
+                           best_for, default_iterations, efficacy)
 
 
 class TestIncantationColumns:
@@ -166,30 +166,35 @@ class TestHistogram:
         assert "*witness*" in histogram.pretty(condition)
 
 
+def run(name, chip, incantations="best", iterations=None, seed=0):
+    """One sim cell on a fresh uncached session."""
+    return Session(cache=False).run(library.build(name), chip,
+                                    incantations=incantations,
+                                    iterations=iterations, seed=seed)
+
+
 class TestRunner:
     def test_no_incantations_no_weakness_on_nvidia(self):
-        result = run_litmus(library.build("mp"), "Titan", iterations=400, seed=1)
+        result = run("mp", "Titan", incantations=None, iterations=400, seed=1)
         assert result.observations == 0
 
     def test_paper_config_witnesses_mp_on_titan(self):
-        result = run_paper_config(library.build("mp"), "Titan",
-                                  iterations=2000, seed=1)
+        result = run("mp", "Titan", iterations=2000, seed=1)
         assert result.observations > 0
         assert result.per_100k > 0
 
     def test_amd_weak_even_without_incantations(self):
-        result = run_litmus(library.build("lb"), "HD7970", iterations=1500,
-                            seed=1)
+        result = run("lb", "HD7970", incantations=None, iterations=1500,
+                     seed=1)
         assert result.observations > 0
 
     def test_result_summary_format(self):
-        result = run_paper_config(library.build("mp"), "Titan",
-                                  iterations=200, seed=1)
+        result = run("mp", "Titan", iterations=200, seed=1)
         assert "mp on Titan" in result.summary()
 
     def test_iterations_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_ITERS", "37")
-        result = run_litmus(library.build("mp"), "GTX7")
+        result = run("mp", "GTX7", incantations=None)
         assert result.iterations == 37
 
 
